@@ -66,6 +66,9 @@ impl<'a, G: GraphView, K: CsrRows> CheckShared<'a, G, K> {
 /// match sequential ones exactly).
 pub(crate) struct CheckOutcome {
     pub(crate) verdict: bool,
+    /// The residual bound left the verdict undecided at the target ε, so
+    /// it came from the exact tie-ranking rule ([`Op::CheckTies`]).
+    pub(crate) tie: bool,
     pub(crate) pushes: u64,
     pub(crate) drained: f64,
     pub(crate) rows_patched: u64,
@@ -133,8 +136,9 @@ impl DeltaSignatures {
 /// reusable [`emigre_ppr::PushWorkspace`] over the precomputed flat kernel
 /// with only the delta's rows patched — endpoint rows replayed from the
 /// state's [`emigre_ppr::RowCache`] when an earlier CHECK already built
-/// them — and is rolled back through an undo log. No push-state clone, no
-/// per-call `O(n)` vectors, no full residual scans.
+/// them — each stage runs as ordered frontier sweeps, and the transaction
+/// is rolled back from the workspace's touched bitset. No push-state
+/// clone, no per-call `O(n)` vectors, no full residual scans.
 pub(crate) fn run_check<G: GraphView, K: CsrRows>(
     shared: &CheckShared<'_, G, K>,
     state: &mut CheckState,
@@ -161,6 +165,7 @@ pub(crate) fn run_check<G: GraphView, K: CsrRows>(
     let pushes_before = ws.pushes();
     let drained_before = ws.mass_drained();
     let mut index_hits = 0u64;
+    let mut tie = false;
 
     let verdict = 'verdict: {
         if cand.is_interacted(wni) {
@@ -212,6 +217,7 @@ pub(crate) fn run_check<G: GraphView, K: CsrRows>(
 
         // Tie region at target precision: replicate the exact ranking
         // rule (floor + score-desc + id-asc) of `recommendation_after`.
+        tie = true;
         index_hits += cand.items().len() as u64;
         let scores = ws.estimates();
         let candidates = cand
@@ -226,6 +232,7 @@ pub(crate) fn run_check<G: GraphView, K: CsrRows>(
     cand.revert();
     CheckOutcome {
         verdict,
+        tie,
         pushes: (ws.pushes() - pushes_before) as u64,
         drained: ws.mass_drained() - drained_before,
         rows_patched: touched.len() as u64,
@@ -302,6 +309,7 @@ impl<'c, 'g, G: GraphView, K: CsrRows> Tester<'c, 'g, G, K> {
             obs.add_mass(outcome.drained);
             obs.count(Op::RowsPatched, outcome.rows_patched);
             obs.count(Op::CandidateIndexHits, outcome.index_hits);
+            obs.count(Op::CheckTies, u64::from(outcome.tie));
             obs.trace_test(actions_to_trace(actions), outcome.verdict);
         }
     }
@@ -672,7 +680,10 @@ mod tests {
                     .collect();
                 tester.test(&actions);
                 let check = ctx.check.borrow();
-                assert!(check.ws.is_clean(), "undo log not drained (dyn={dynamic})");
+                assert!(
+                    check.ws.is_clean(),
+                    "touched set not drained (dyn={dynamic})"
+                );
                 assert_eq!(check.ws.touched_len(), 0);
                 assert_eq!(
                     check.ws.estimates().as_ptr(),

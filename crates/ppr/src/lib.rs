@@ -24,7 +24,10 @@
 //!   of every push loop;
 //! * [`workspace`] — reusable transactional push state
 //!   ([`workspace::PushWorkspace`]) making the counterfactual CHECK free of
-//!   per-call `O(n)` allocations;
+//!   per-call `O(n)` allocations: each precision stage runs Gauss–Seidel
+//!   frontier sweeps over an `active` bitset in ascending node order, and
+//!   rollback restores the nodes in a `touched` bitset from the shared,
+//!   loaded base state;
 //! * [`topk`] — deterministic top-k extraction with exclusion sets.
 //!
 //! All engines are generic over [`emigre_hin::GraphView`], so they run

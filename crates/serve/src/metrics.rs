@@ -609,6 +609,7 @@ pub fn prometheus_text(s: &MetricsSnapshot) -> String {
         ("checks", s.ops.checks),
         ("subsets_enumerated", s.ops.subsets_enumerated),
         ("candidate_index_hits", s.ops.candidate_index_hits),
+        ("check_ties", s.ops.check_ties),
     ] {
         p.sample_u64("emigre_ops_total", &[("op", op)], v);
     }
@@ -803,6 +804,7 @@ mod tests {
         assert!(text.contains("emigre_rejected_total{reason=\"deadline\"} 1"));
         assert!(text.contains("emigre_queue_depth 2"));
         assert!(text.contains("emigre_graph_epoch 7"));
+        assert!(text.contains("emigre_ops_total{op=\"check_ties\"} 0"));
         assert!(text.contains("emigre_cache_stale_invalidations_total{cache=\"session\"} 1"));
         assert!(text.contains("emigre_stage_latency_us_bucket{stage=\"test\""));
         assert!(text.contains("le=\"+Inf\""));

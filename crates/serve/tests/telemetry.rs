@@ -300,4 +300,12 @@ fn json_metrics_and_prometheus_agree_and_lint_clean() {
         m.stage_test.count
     )));
     assert!(text.contains(&format!("emigre_workers {}", m.workers)));
+    // ε-tie CHECKs: the same count in the JSON body and the exposition.
+    assert!(m.ops.checks >= 1);
+    let json = serde_json::to_string(&m).unwrap();
+    assert!(json.contains(&format!("\"check_ties\":{}", m.ops.check_ties)));
+    assert!(text.contains(&format!(
+        "emigre_ops_total{{op=\"check_ties\"}} {}",
+        m.ops.check_ties
+    )));
 }

@@ -23,8 +23,9 @@
 
 use crate::oracle::{oracle_test, DenseOracle, OracleVerdict};
 use crate::world::World;
-use emigre_core::{minimal, tester::Tester, ExplainContext, Explainer, Method};
-use emigre_hin::{GraphView, Hin, NodeId};
+use emigre_core::{minimal, tester::Tester, Action, ExplainContext, Explainer, Method};
+use emigre_hin::{EdgeKey, GraphView, Hin, NodeId};
+use emigre_obs::ObsHandle;
 use emigre_ppr::{ForwardPush, ReversePush, TransitionCsr};
 
 /// The paper's five Remove-mode algorithms, cross-checked on every
@@ -68,6 +69,11 @@ pub struct DiffStats {
     pub direct_refuted: usize,
     /// Brute-force explanations certified subset-minimal.
     pub minimality_certified: usize,
+    /// CHECKs the residual bound decided (not counted as ε-ties), each
+    /// asserted equal to the oracle's verdict.
+    pub certified_checks: usize,
+    /// CHECKs that fell through to the target-ε tie ranking.
+    pub tie_checks: usize,
     /// Worst forward-estimate disagreement seen.
     pub max_row_err: f64,
     /// Worst reverse-estimate disagreement seen.
@@ -170,7 +176,7 @@ pub fn cross_check_question(
         );
         // The engine's own TEST verdict on the returned action set, via a
         // fresh budget so method-internal accounting doesn't interfere.
-        let engine_wins = Tester::new(&ctx).test(&exp.actions);
+        let engine_wins = certified_check(world, user, wni, &exp.actions, stats);
         let verdict: OracleVerdict = oracle_test(graph, cfg, user, wni, &exp.actions)
             .unwrap_or_else(|e| {
                 panic!("{method:?} explanation does not apply to the base graph: {e:?}")
@@ -233,4 +239,72 @@ pub fn check_ppr_agreement(
     stats.max_row_err = stats.max_row_err.max(row_err);
     stats.max_col_err = stats.max_col_err.max(col_err);
     stats.ppr_cases += 1;
+}
+
+/// One engine CHECK of `actions`, on a fresh context whose counters tell
+/// whether the Eq. (3) residual bound decided it or it fell through to the
+/// target-ε tie ranking (`check_ties`). A bound-decided verdict is a
+/// proof, so it must equal the oracle's exact verdict regardless of the
+/// oracle margin; only ties are left to the margin-aware comparison.
+/// Returns the engine verdict.
+pub fn certified_check(
+    world: &World,
+    user: NodeId,
+    wni: NodeId,
+    actions: &[Action],
+    stats: &mut DiffStats,
+) -> bool {
+    let ctx = ExplainContext::build_with_obs(
+        &world.graph,
+        world.cfg.clone(),
+        user,
+        wni,
+        ObsHandle::counters_only(),
+    )
+    .unwrap_or_else(|e| panic!("question stopped validating: user={user:?} wni={wni:?}: {e:?}"));
+    let engine_wins = Tester::new(&ctx).test(actions);
+    if ctx.obs.counters().check_ties > 0 {
+        stats.tie_checks += 1;
+        return engine_wins;
+    }
+    stats.certified_checks += 1;
+    let verdict = oracle_test(&world.graph, &world.cfg, user, wni, actions)
+        .unwrap_or_else(|e| panic!("actions do not apply to the base graph: {e:?}"));
+    assert_eq!(
+        engine_wins, verdict.wins,
+        "bound-certified CHECK disagrees with the oracle \
+         (user={user:?} wni={wni:?} actions={actions:?} margin={:e} wni_score={} top={:?})",
+        verdict.margin, verdict.wni_score, verdict.top
+    );
+    engine_wins
+}
+
+/// CHECKs every single-edge candidate of a question through
+/// [`certified_check`]: removing each of the user's item edges, and adding
+/// a `rated` edge to each item the user has not interacted with (except
+/// the WNI, which an interaction disqualifies). Most of these fail, so
+/// this covers the `false` verdicts explanations never reach.
+pub fn cross_check_single_edge_checks(
+    world: &World,
+    user: NodeId,
+    wni: NodeId,
+    stats: &mut DiffStats,
+) {
+    let graph = &world.graph;
+    let mut interacted = vec![false; graph.num_nodes()];
+    let mut actions = Vec::new();
+    graph.for_each_out(user, |v, et, w| {
+        interacted[v.index()] = true;
+        if graph.node_type(v) == world.item_type {
+            actions.push(Action::remove(EdgeKey::new(user, v, et), w));
+        }
+    });
+    for &item in &world.items {
+        if !interacted[item.index()] && item != wni {
+            actions.push(Action::add(EdgeKey::new(user, item, world.rated), 1.0));
+        }
+    }
+    for a in actions {
+        certified_check(world, user, wni, &[a], stats);
+    }
 }

@@ -31,8 +31,9 @@ pub mod strategies;
 pub mod world;
 
 pub use differential::{
-    assert_forward_agrees, assert_reverse_agrees, check_ppr_agreement, cross_check_question,
-    push_error_bound, viable_questions, DiffStats, ADD_METHODS, FIVE_ALGORITHMS,
+    assert_forward_agrees, assert_reverse_agrees, certified_check, check_ppr_agreement,
+    cross_check_question, cross_check_single_edge_checks, push_error_bound, viable_questions,
+    DiffStats, ADD_METHODS, FIVE_ALGORITHMS,
 };
 pub use oracle::{oracle_test, DenseOracle, OracleVerdict, MAX_ORACLE_NODES, ORACLE_TOLERANCE};
 pub use strategies::{arb_default_world, arb_world, ArbWorld};

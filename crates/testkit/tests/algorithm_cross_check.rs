@@ -15,11 +15,18 @@
 //! must still agree with the oracle, but the oracle is allowed to refute
 //! its explanations — that refutation count is exactly the paper's case
 //! for the CHECK step, so the suite prints it.
+//!
+//! Every CHECK the suite runs itself — on each returned explanation and on
+//! each single-edge remove/add candidate of each question — is also split
+//! by the engine's `check_ties` counter: a CHECK the Eq. (3) residual
+//! bound decided must return the oracle's verdict whatever the oracle
+//! margin, since the bound is a proof. So a change to the push schedule
+//! can move ε-tie verdicts only, never certified ones.
 
 use emigre_ppr::{PprConfig, TransitionCsr};
 use emigre_testkit::{
-    check_ppr_agreement, cross_check_question, viable_questions, DenseOracle, DiffStats, World,
-    WorldParams, WorldSpec, ADD_METHODS, FIVE_ALGORITHMS,
+    check_ppr_agreement, cross_check_question, cross_check_single_edge_checks, viable_questions,
+    DenseOracle, DiffStats, World, WorldParams, WorldSpec, ADD_METHODS, FIVE_ALGORITHMS,
 };
 
 const AGREEMENT_TOL: f64 = 1e-9;
@@ -65,6 +72,7 @@ fn five_algorithms_agree_with_oracle_on_200_sampled_cases() {
             );
             // Half 2: every algorithm's explanation, oracle-TESTed.
             cross_check_question(&world, user, wni, &methods, &mut stats);
+            cross_check_single_edge_checks(&world, user, wni, &mut stats);
             cases += 1;
         }
     }
@@ -78,13 +86,22 @@ fn five_algorithms_agree_with_oracle_on_200_sampled_cases() {
         stats.decisive_verdicts > 0,
         "no decisive verdicts at all — margin bookkeeping is broken"
     );
+    assert!(
+        stats.certified_checks > stats.tie_checks,
+        "the residual bound should decide most CHECKs: {} certified vs {} ties",
+        stats.certified_checks,
+        stats.tie_checks
+    );
     println!(
         "cross-check: {cases} cases over {seed} worlds; {} explanations oracle-TESTed \
-         ({} decisive, {} near-ties), {} direct-baseline refutations, \
+         ({} decisive, {} near-ties), {} bound-certified CHECKs match the oracle \
+         ({} ε-ties), {} direct-baseline refutations, \
          {} brute explanations certified minimal; max push err row {:e} / col {:e}",
         stats.explanations_checked,
         stats.decisive_verdicts,
         stats.near_ties,
+        stats.certified_checks,
+        stats.tie_checks,
         stats.direct_refuted,
         stats.minimality_certified,
         stats.max_row_err,
@@ -116,12 +133,15 @@ fn pathological_worlds_survive_the_cross_check() {
         let questions = viable_questions(&world, 4);
         for (user, wni) in questions {
             cross_check_question(&world, user, wni, &FIVE_ALGORITHMS, &mut stats);
+            cross_check_single_edge_checks(&world, user, wni, &mut stats);
             cases += 1;
         }
     }
     assert!(stats.explanations_checked > 0);
+    assert!(stats.certified_checks > 0);
     println!(
-        "pathological cross-check: {cases} cases, {} explanations checked, {} near-ties",
-        stats.explanations_checked, stats.near_ties
+        "pathological cross-check: {cases} cases, {} explanations checked, {} near-ties, \
+         {} bound-certified CHECKs match the oracle ({} ε-ties)",
+        stats.explanations_checked, stats.near_ties, stats.certified_checks, stats.tie_checks
     );
 }
