@@ -1,16 +1,17 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
 //!
-//! * counterfactual **delta overlay** vs cloning + mutating the graph per
-//!   CHECK;
+//! * counterfactual **delta overlay** (patch the touched kernel rows) vs
+//!   cloning + mutating the graph and rebuilding the kernel per CHECK;
 //! * **dynamic CHECK** (residual repair from the user's base push state)
 //!   vs from-scratch push per CHECK;
-//! * **CSR snapshot** vs adjacency-list traversal for whole-graph PPR.
+//! * **mmap-able snapshot** vs adjacency-list traversal for whole-graph
+//!   PPR.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use emigre_bench::world;
 use emigre_core::{Explainer, Method};
-use emigre_hin::{CsrGraph, EdgeKey, GraphDelta, GraphView};
-use emigre_ppr::{ppr_power, ForwardPush};
+use emigre_hin::{snapshot_to_bytes, EdgeKey, GraphDelta, GraphView, Snapshot};
+use emigre_ppr::{ppr_power, CsrRows, ForwardPush, TransitionCsr};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -33,16 +34,21 @@ fn bench_overlay_vs_clone(c: &mut Criterion) {
     delta.remove_edge(EdgeKey::new(user, v, et));
     delta.remove_edge(EdgeKey::new(v, user, et));
 
+    let model = w.cfg.rec.ppr.transition;
+    let kernel = TransitionCsr::build(g, model);
+    let touched = delta.touched_sources();
     group.bench_function("delta_overlay", |b| {
         b.iter(|| {
             let view = delta.overlay(g);
-            black_box(ForwardPush::compute(&view, &w.cfg.rec.ppr, user))
+            let patched = kernel.patched(&view, &touched);
+            black_box(ForwardPush::compute_kernel(&patched, &w.cfg.rec.ppr, user))
         })
     });
     group.bench_function("clone_and_mutate", |b| {
         b.iter(|| {
             let edited = delta.apply_to(g).expect("valid delta");
-            black_box(ForwardPush::compute(&edited, &w.cfg.rec.ppr, user))
+            let rebuilt = TransitionCsr::build(&edited, model);
+            black_box(ForwardPush::compute_kernel(&rebuilt, &w.cfg.rec.ppr, user))
         })
     });
     group.finish();
@@ -73,7 +79,7 @@ fn bench_dynamic_check(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_csr_snapshot(c: &mut Criterion) {
+fn bench_snapshot(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph_representation");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(2));
@@ -84,12 +90,13 @@ fn bench_csr_snapshot(c: &mut Criterion) {
     group.bench_function("power_iteration_adjacency_lists", |b| {
         b.iter(|| black_box(ppr_power(g, &w.cfg.rec.ppr, user)))
     });
-    let csr = CsrGraph::from_view(g);
-    group.bench_function("power_iteration_csr", |b| {
-        b.iter(|| black_box(ppr_power(&csr, &w.cfg.rec.ppr, user)))
+    let image = snapshot_to_bytes(g);
+    let snap = Snapshot::from_bytes(image.clone()).expect("fresh image opens");
+    group.bench_function("power_iteration_snapshot", |b| {
+        b.iter(|| black_box(ppr_power(&snap, &w.cfg.rec.ppr, user)))
     });
-    group.bench_function("csr_freeze_cost", |b| {
-        b.iter(|| black_box(CsrGraph::from_view(g)))
+    group.bench_function("snapshot_open_cost", |b| {
+        b.iter(|| black_box(Snapshot::from_bytes(image.clone()).expect("image opens")))
     });
     group.finish();
 }
@@ -98,6 +105,6 @@ criterion_group!(
     benches,
     bench_overlay_vs_clone,
     bench_dynamic_check,
-    bench_csr_snapshot
+    bench_snapshot
 );
 criterion_main!(benches);

@@ -1429,13 +1429,12 @@ fn run(args: &[String]) -> Result<(), String> {
         emigre_hin::write_snapshot(&graph, &snap_file)
             .map_err(|e| format!("writing snapshot: {e}"))?;
         let t0 = std::time::Instant::now();
-        let snap = emigre_hin::Snapshot::open(&snap_file)
-            .map_err(|e| format!("opening snapshot: {e}"))?;
+        let snap =
+            emigre_hin::Snapshot::open(&snap_file).map_err(|e| format!("opening snapshot: {e}"))?;
         let restored = snap.to_hin();
         let load_ms = t0.elapsed().as_secs_f64() * 1e3;
         let _ = std::fs::remove_file(&snap_file);
-        if restored.num_nodes() != graph.num_nodes() || restored.num_edges() != graph.num_edges()
-        {
+        if restored.num_nodes() != graph.num_nodes() || restored.num_edges() != graph.num_edges() {
             return Err("snapshot restore diverged from the served graph".to_owned());
         }
         eprintln!(

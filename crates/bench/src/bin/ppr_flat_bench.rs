@@ -1,23 +1,24 @@
-//! Generic-view vs flat-kernel microbenchmarks, with JSON output.
+//! Flat-kernel push and CHECK microbenchmarks, with JSON output.
 //!
 //! Measures, on the synthetic Amazon graph of [`emigre_bench::world`]:
 //!
-//! * forward push: `ForwardPush::compute` (generic `GraphView` traversal)
-//!   vs `ForwardPush::compute_kernel` (precomputed [`TransitionCsr`] rows);
-//! * reverse push: same pair — the flat path additionally amortises the
-//!   per-in-edge `out_degree` / `out_weight_sum` scans away;
-//! * CHECK: the pre-flat-kernel `Tester::test` (cloned push state, per-call
-//!   transition-row recomputation, all-node candidate scans — replicated
-//!   verbatim in [`legacy_check`]) vs the current allocation-free
-//!   workspace path.
+//! * forward and reverse push over the precomputed [`TransitionCsr`] rows;
+//! * CHECK: `Tester::test` on the allocation-free workspace path, one
+//!   remove-mode and one add-mode counterfactual;
+//! * the batched CHECK thread sweep, the observability and
+//!   allocation-tracking overheads of the same CHECK (the `--max-*-pct`
+//!   gates), and the `--scale` sweep on streamed compact kernels.
+//!
+//! Rows with a baseline (the thread sweep, the overhead rows, the scale
+//! sweep) report it in `baseline_us` with `speedup = baseline / flat`; the
+//! plain push and CHECK rows have neither (`null`).
 //!
 //! Run with `cargo run --release -p emigre-bench --bin ppr_flat_bench
 //! [-- out.json]`; results are written as JSON (default `BENCH_ppr.json`)
 //! and summarised on stdout. Methodology notes live in EXPERIMENTS.md.
 
 use emigre_bench::world;
-use emigre_core::explanation::actions_to_delta;
-use emigre_core::tester::{score_floor, PreCheck, Tester};
+use emigre_core::tester::{PreCheck, Tester};
 use emigre_core::{Action, ExplainContext};
 use emigre_data::{ScaleGen, ScaleSpec};
 use emigre_hin::{EdgeKey, GraphView, Hin, NodeId};
@@ -25,7 +26,6 @@ use emigre_obs::{CounterSnapshot, HeapSize, ObsHandle};
 use emigre_ppr::{
     CsrRows, ForwardPush, PprConfig, Prob, ReversePush, TransitionCsr, TransitionModel,
 };
-use emigre_rec::RecList;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -55,99 +55,17 @@ fn measure_us(inner: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// The CHECK implementation as it stood before the flat-kernel engine:
-/// clones the user's push state (or seeds a fresh one), recomputes the
-/// touched transition rows from the views, runs the staged push over the
-/// generic overlay, and scans every node per stage for the strongest
-/// competitor with a `Vec::contains` interaction test. Kept here verbatim
-/// as the benchmark baseline.
-fn legacy_check<G: GraphView>(ctx: &ExplainContext<'_, G>, actions: &[Action]) -> bool {
-    let delta = actions_to_delta(actions, &ctx.cfg);
-    let view = delta.overlay(ctx.graph);
-    let target_eps = ctx.cfg.rec.ppr.epsilon;
-    let floor = score_floor(&ctx.cfg);
-    let wni = ctx.wni;
-
-    let mut interacted: Vec<NodeId> = Vec::new();
-    view.for_each_out(ctx.user, |v, _, _| {
-        if !interacted.contains(&v) {
-            interacted.push(v);
-        }
-    });
-    if interacted.contains(&wni) {
-        return false;
-    }
-
-    let mut state = if ctx.cfg.dynamic_test {
-        let mut s = (*ctx.user_push).clone();
-        for u in delta.touched_sources() {
-            let old_row = emigre_ppr::transition_row(ctx.graph, ctx.cfg.rec.ppr.transition, u);
-            let new_row = emigre_ppr::transition_row(&view, ctx.cfg.rec.ppr.transition, u);
-            s.repair_row_change(&ctx.cfg.rec.ppr, u, &old_row, &new_row);
-        }
-        s
-    } else {
-        let mut s = ForwardPush {
-            seed: ctx.user,
-            estimates: vec![0.0; view.num_nodes()],
-            residuals: vec![0.0; view.num_nodes()],
-            pushes: 0,
-            drained: 0.0,
-        };
-        s.residuals[ctx.user.index()] = 1.0;
-        s
-    };
-
-    let item_type = ctx.cfg.rec.item_type;
-    let mut eps = 1e-3_f64.max(target_eps);
-    loop {
-        state.push_until_converged(&view, &ctx.cfg.rec.ppr.with_epsilon(eps));
-        let r = state.residual_mass();
-        let p_wni = state.estimates[wni.index()];
-        if p_wni + r <= floor {
-            return false;
-        }
-        let mut best_other = f64::NEG_INFINITY;
-        for i in 0..view.num_nodes() as u32 {
-            let n = NodeId(i);
-            if n != ctx.user
-                && n != wni
-                && view.node_type(n) == item_type
-                && !interacted.contains(&n)
-            {
-                best_other = best_other.max(state.estimates[n.index()]);
-            }
-        }
-        if best_other - r > p_wni + r && best_other - r > floor {
-            return false;
-        }
-        if p_wni - r > floor && p_wni - r > best_other + r {
-            return true;
-        }
-        if eps <= target_eps {
-            break;
-        }
-        eps = (eps * 0.03).max(target_eps);
-    }
-
-    let scores = &state.estimates;
-    let candidates = (0..view.num_nodes() as u32).map(NodeId).filter(|&n| {
-        n != ctx.user
-            && view.node_type(n) == item_type
-            && scores[n.index()] > floor
-            && !interacted.contains(&n)
-    });
-    RecList::from_scores(scores, candidates, 1).top() == Some(wni)
-}
-
 #[derive(Serialize)]
 struct Entry {
     name: String,
     items: usize,
     nodes: usize,
-    baseline_us: f64,
+    /// The row's reference time, where it has one (None for the plain
+    /// push and CHECK rows).
+    baseline_us: Option<f64>,
     flat_us: f64,
-    speedup: f64,
+    /// `baseline_us / flat_us`, where there is a baseline.
+    speedup: Option<f64>,
     /// Op-counter delta of one `flat` call with observability enabled
     /// (None for entries measured without instrumentation).
     counters: Option<CounterSnapshot>,
@@ -178,7 +96,7 @@ struct Report {
     entries: Vec<Entry>,
 }
 
-fn entry(name: &str, items: usize, nodes: usize, baseline_us: f64, flat_us: f64) -> Entry {
+fn entry(name: &str, items: usize, nodes: usize, baseline_us: Option<f64>, flat_us: f64) -> Entry {
     entry_with_counters(name, items, nodes, baseline_us, flat_us, None)
 }
 
@@ -186,7 +104,7 @@ fn entry_with_counters(
     name: &str,
     items: usize,
     nodes: usize,
-    baseline_us: f64,
+    baseline_us: Option<f64>,
     flat_us: f64,
     counters: Option<CounterSnapshot>,
 ) -> Entry {
@@ -196,7 +114,7 @@ fn entry_with_counters(
         nodes,
         baseline_us,
         flat_us,
-        speedup: baseline_us / flat_us,
+        speedup: baseline_us.map(|b| b / flat_us),
         counters,
         threads: None,
         parallel_efficiency: None,
@@ -204,10 +122,16 @@ fn entry_with_counters(
         build_ms: None,
         build_peak_bytes: None,
     };
-    println!(
-        "{:>26} items={:<5} baseline {:>10.2} µs   flat {:>10.2} µs   speedup {:>5.2}x",
-        e.name, e.items, e.baseline_us, e.flat_us, e.speedup
-    );
+    match (e.baseline_us, e.speedup) {
+        (Some(base), Some(speedup)) => println!(
+            "{:>26} items={:<5} baseline {:>10.2} µs   flat {:>10.2} µs   speedup {:>5.2}x",
+            e.name, e.items, base, e.flat_us, speedup
+        ),
+        _ => println!(
+            "{:>26} items={:<5} flat {:>10.2} µs",
+            e.name, e.items, e.flat_us
+        ),
+    }
     if let Some(c) = &e.counters {
         println!(
             "{:>26} fwd={} rev={} rows={} checks={} hits={} mass={:.4}",
@@ -268,9 +192,9 @@ fn parse_scale(tok: &str) -> usize {
         "10k" => 10_000,
         "100k" => 100_000,
         "1m" => 1_000_000,
-        other => other
-            .parse()
-            .unwrap_or_else(|_| panic!("--scale expects 10k, 100k, 1m, or a node count, got {other:?}")),
+        other => other.parse().unwrap_or_else(|_| {
+            panic!("--scale expects 10k, 100k, 1m, or a node count, got {other:?}")
+        }),
     }
 }
 
@@ -298,13 +222,16 @@ fn scale_sweep(total: usize, entries: &mut Vec<Entry>) {
     let kernel = gen.build_compact::<f32>(model, 65_536);
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
     #[cfg(feature = "heap-track")]
-    let build_peak = Some(emigre_obs::heap_stats().peak_bytes.saturating_sub(live_before));
+    let build_peak = Some(
+        emigre_obs::heap_stats()
+            .peak_bytes
+            .saturating_sub(live_before),
+    );
     #[cfg(not(feature = "heap-track"))]
     let build_peak: Option<u64> = None;
     let resident = kernel.heap_bytes() as u64;
 
-    let build_us = build_ms * 1e3;
-    let mut e = entry("scale_build", items, total, build_us, build_us);
+    let mut e = entry("scale_build", items, total, None, build_ms * 1e3);
     e.resident_bytes = Some(resident);
     e.build_ms = Some(build_ms);
     e.build_peak_bytes = build_peak;
@@ -324,13 +251,25 @@ fn scale_sweep(total: usize, entries: &mut Vec<Entry>) {
     let fwd_ms = timed_ms(times, || {
         std::hint::black_box(ForwardPush::compute_kernel(&kernel, &cfg, seed));
     });
-    entries.push(entry("scale_forward_push", items, total, fwd_ms * 1e3, fwd_ms * 1e3));
+    entries.push(entry(
+        "scale_forward_push",
+        items,
+        total,
+        None,
+        fwd_ms * 1e3,
+    ));
 
     let target = NodeId((total - items) as u32); // head item of the popularity Zipf
     let rev_ms = timed_ms(times, || {
         std::hint::black_box(ReversePush::compute_kernel(&kernel, &cfg, target));
     });
-    entries.push(entry("scale_reverse_push", items, total, rev_ms * 1e3, rev_ms * 1e3));
+    entries.push(entry(
+        "scale_reverse_push",
+        items,
+        total,
+        None,
+        rev_ms * 1e3,
+    ));
 
     // One CHECK-shaped push: drop the seed's first out-edge, renormalise
     // the rest of the row by 1/(1−p), and run the push over the patched
@@ -349,7 +288,13 @@ fn scale_sweep(total: usize, entries: &mut Vec<Entry>) {
         let patched = kernel.patched_rows(vec![(seed.0, new_dsts.clone(), new_probs.clone())]);
         std::hint::black_box(ForwardPush::compute_kernel(&patched, &cfg, seed));
     });
-    let mut e = entry("scale_check", items, total, fwd_ms * 1e3, check_ms * 1e3);
+    let mut e = entry(
+        "scale_check",
+        items,
+        total,
+        Some(fwd_ms * 1e3),
+        check_ms * 1e3,
+    );
     e.resident_bytes = Some(resident);
     entries.push(e);
 }
@@ -373,7 +318,9 @@ fn main() {
         match a.as_str() {
             "--smoke" => smoke = true,
             "--scale" => {
-                let v = args.next().expect("--scale needs a value (e.g. 10k,100k,1m)");
+                let v = args
+                    .next()
+                    .expect("--scale needs a value (e.g. 10k,100k,1m)");
                 scales = Some(v.split(',').map(parse_scale).collect());
             }
             "--max-obs-overhead-pct" => {
@@ -419,45 +366,31 @@ fn main() {
         let wni = w.scenarios[0].wni;
         let kernel = TransitionCsr::build(g, cfg.transition);
 
-        let fwd_gen = measure_us(1, || {
-            std::hint::black_box(ForwardPush::compute(g, cfg, user));
-        });
-        let fwd_flat = measure_us(1, || {
+        let fwd_us = measure_us(1, || {
             std::hint::black_box(ForwardPush::compute_kernel(&kernel, cfg, user));
         });
-        entries.push(entry("forward_push", items, n, fwd_gen, fwd_flat));
+        entries.push(entry("forward_push", items, n, None, fwd_us));
 
-        let rev_gen = measure_us(1, || {
-            std::hint::black_box(ReversePush::compute(g, cfg, wni));
-        });
-        let rev_flat = measure_us(1, || {
+        let rev_us = measure_us(1, || {
             std::hint::black_box(ReversePush::compute_kernel(&kernel, cfg, wni));
         });
-        entries.push(entry("reverse_push", items, n, rev_gen, rev_flat));
+        entries.push(entry("reverse_push", items, n, None, rev_us));
 
         // CHECK: one remove-mode and one add-mode counterfactual verdict.
         let ctx = ExplainContext::build(g, w.cfg.clone(), user, wni).expect("valid scenario");
         let tester = Tester::new(&ctx);
         let remove = vec![first_removal(g, w.hin.rated, user)];
         let add = vec![first_addition(g, &w.cfg, user, wni)];
-        assert_eq!(legacy_check(&ctx, &remove), tester.test(&remove));
-        assert_eq!(legacy_check(&ctx, &add), tester.test(&add));
 
-        let chk_rm_old = measure_us(4, || {
-            std::hint::black_box(legacy_check(&ctx, &remove));
-        });
         let chk_rm_new = measure_us(4, || {
             std::hint::black_box(tester.test(&remove));
         });
-        entries.push(entry("check_remove", items, n, chk_rm_old, chk_rm_new));
+        entries.push(entry("check_remove", items, n, None, chk_rm_new));
 
-        let chk_add_old = measure_us(4, || {
-            std::hint::black_box(legacy_check(&ctx, &add));
-        });
         let chk_add_new = measure_us(4, || {
             std::hint::black_box(tester.test(&add));
         });
-        entries.push(entry("check_add", items, n, chk_add_old, chk_add_new));
+        entries.push(entry("check_add", items, n, None, chk_add_new));
 
         // Batched CHECK thread sweep: `Tester::first_passing` over the
         // incremental-style prefix ladder of the user's removals, at 1, 2,
@@ -498,7 +431,7 @@ fn main() {
                 &format!("check_batch_t{threads}"),
                 items,
                 n,
-                batch_seq_us,
+                Some(batch_seq_us),
                 batch_us,
             );
             e.threads = Some(threads);
@@ -526,7 +459,7 @@ fn main() {
             "check_remove_obs",
             items,
             n,
-            chk_rm_new,
+            Some(chk_rm_new),
             chk_rm_obs,
             Some(delta),
         ));
@@ -543,7 +476,7 @@ fn main() {
             "check_add_obs",
             items,
             n,
-            chk_add_new,
+            Some(chk_add_new),
             chk_add_obs,
             Some(delta_add),
         ));
@@ -571,7 +504,7 @@ fn main() {
                 "check_remove_alloc_tracked",
                 items,
                 n,
-                chk_rm_paused,
+                Some(chk_rm_paused),
                 chk_rm_tracked,
             ));
             println!(
@@ -591,12 +524,13 @@ fn main() {
     }
 
     let report = Report {
-        description: "Generic-view vs flat-kernel PPR push and CHECK on the synthetic \
-                      Amazon graph (median of 15 samples, release build). baseline = \
-                      pre-flat-kernel implementation, flat = TransitionCsr/PushWorkspace \
-                      path. scale_* entries: streaming power-law graphs at 10k–1M nodes, \
-                      compact f32 kernel, ε = 1e-6, best-of-5 (single run at 1M). See \
-                      EXPERIMENTS.md for methodology."
+        description: "Flat-kernel PPR push and CHECK on the synthetic Amazon graph \
+                      (median of 15 samples, release build). flat = TransitionCsr/\
+                      PushWorkspace path; baseline = the row's reference (1-thread batch, \
+                      uninstrumented or untracked CHECK, unpatched push), null where a row \
+                      has none. scale_* entries: streaming power-law graphs at 10k–1M \
+                      nodes, compact f32 kernel, ε = 1e-6, best-of-5 (single run at 1M). \
+                      See EXPERIMENTS.md for methodology."
             .to_string(),
         epsilon,
         samples: 15,

@@ -15,8 +15,7 @@ use crate::failure::ExplainFailure;
 use crate::question::{QuestionError, WhyNotQuestion};
 use emigre_hin::{GraphView, NodeId};
 use emigre_obs::{ObsHandle, Op};
-use emigre_ppr::{ForwardPush, PushWorkspace, ReversePush, TransitionCsr};
-use emigre_rec::{PprRecommender, RecList, Recommender};
+use emigre_ppr::{PushWorkspace, ReversePush, TransitionCsr};
 use std::sync::Arc;
 
 /// Builds contexts for several Why-Not items of the same user, sharing the
@@ -44,16 +43,36 @@ pub fn batch_contexts_with_obs<'g, G: GraphView>(
     wnis: &[NodeId],
     obs: ObsHandle,
 ) -> Vec<Result<ExplainContext<'g, G>, QuestionError>> {
-    cfg.validate();
-    let batch_span = obs.span("batch_setup");
-    // Shared artefacts — identical to ExplainContext::build.
-    let kernel = Arc::new(TransitionCsr::build(graph, cfg.rec.ppr.transition));
-    let artifacts = match UserArtifacts::build(graph, cfg, kernel, user, &obs) {
-        Ok(a) => a,
-        Err(e) => return wnis.iter().map(|_| Err(e)).collect(),
-    };
-    drop(batch_span);
+    match shared_artifacts(graph, cfg, user, &obs) {
+        Ok(artifacts) => contexts_from_artifacts(graph, cfg, &artifacts, wnis, &obs),
+        Err(e) => wnis.iter().map(|_| Err(e)).collect(),
+    }
+}
 
+/// The user's shared artefacts over a fresh kernel — identical to what
+/// [`ExplainContext::build`] computes for each question.
+fn shared_artifacts<G: GraphView>(
+    graph: &G,
+    cfg: &EmigreConfig,
+    user: NodeId,
+    obs: &ObsHandle,
+) -> Result<UserArtifacts, QuestionError> {
+    cfg.validate();
+    let _span = obs.span("batch_setup");
+    let kernel = Arc::new(TransitionCsr::build(graph, cfg.rec.ppr.transition));
+    UserArtifacts::build(graph, cfg, kernel, user, obs)
+}
+
+/// One context per Why-Not item from shared artefacts: only the
+/// `PPR(·, wni)` column is computed per item.
+fn contexts_from_artifacts<'g, G: GraphView>(
+    graph: &'g G,
+    cfg: &EmigreConfig,
+    artifacts: &UserArtifacts,
+    wnis: &[NodeId],
+    obs: &ObsHandle,
+) -> Vec<Result<ExplainContext<'g, G>, QuestionError>> {
+    let user = artifacts.user;
     wnis.iter()
         .map(|&wni| {
             // Reject malformed questions before paying for their column.
@@ -65,7 +84,7 @@ pub fn batch_contexts_with_obs<'g, G: GraphView>(
             ExplainContext::from_artifacts(
                 graph,
                 cfg.clone(),
-                &artifacts,
+                artifacts,
                 wni,
                 Arc::new(ppr_to_wni),
                 PushWorkspace::new(graph.num_nodes()),
@@ -85,28 +104,20 @@ pub struct ListExplanation {
 }
 
 /// Runs `method` for every item of the user's recommendation list except
-/// the top one — the paper's §6.2 inner loop as a library call.
+/// the top one — the paper's §6.2 inner loop as a library call. The list
+/// is the one the shared artefacts carry, so it is exactly the list every
+/// context (and the server) ranks against.
 pub fn explain_whole_list<G: GraphView>(
     explainer: &Explainer,
     graph: &G,
     user: NodeId,
     method: Method,
 ) -> Result<Vec<ListExplanation>, QuestionError> {
-    // Probe context for the list itself.
     let cfg = explainer.config();
-    let recommender = PprRecommender::new(cfg.rec);
-    let push = ForwardPush::compute(graph, &cfg.rec.ppr, user);
-    let floor = crate::tester::score_floor(cfg);
-    let candidates = recommender
-        .candidates(graph, user)
-        .into_iter()
-        .filter(|n| push.estimates[n.index()] > floor);
-    let list = RecList::from_scores(&push.estimates, candidates, cfg.target_list_size);
-    if list.is_empty() {
-        return Err(QuestionError::InvalidUser(user));
-    }
-    let wnis: Vec<NodeId> = list.items().into_iter().skip(1).collect();
-    let contexts = batch_contexts(graph, cfg, user, &wnis);
+    let obs = ObsHandle::ambient();
+    let artifacts = shared_artifacts(graph, cfg, user, &obs)?;
+    let wnis: Vec<NodeId> = artifacts.rec_list.items().into_iter().skip(1).collect();
+    let contexts = contexts_from_artifacts(graph, cfg, &artifacts, &wnis, &obs);
     Ok(contexts
         .into_iter()
         .zip(wnis)

@@ -135,10 +135,11 @@ pub(crate) struct CheckState {
 /// The artefacts are `Arc`-shared so assembling a context from them is
 /// `O(1)` — no `O(n)`/`O(E)` clones per question.
 ///
-/// Generic over the kernel layout `K` ([`CsrRows`]): the reference
-/// [`TransitionCsr`] by default, or the compact struct-of-arrays
-/// [`emigre_ppr::CompactCsr`] for large graphs. Every push below runs
-/// through the trait, so the choice is purely a memory/precision trade.
+/// Generic over the kernel `K` ([`CsrRows`]): the `f64`
+/// [`TransitionCsr`] by default, or an [`emigre_ppr::CompactCsr`] of
+/// another probability width (`f32` for large graphs). Every push below
+/// runs through the trait, so the choice is purely a memory/precision
+/// trade.
 pub struct UserArtifacts<K = TransitionCsr> {
     pub user: NodeId,
     /// Flat transition rows of the base graph.
@@ -199,19 +200,10 @@ impl<K: CsrRows> UserArtifacts<K> {
         if user.0 >= graph.num_nodes() as u32 {
             return Err(QuestionError::InvalidUser(user));
         }
-        let recommender = PprRecommender::new(cfg.rec);
         let user_push = ForwardPush::compute_kernel(&*kernel, &cfg.rec.ppr, user);
         obs.count(Op::ForwardPushes, user_push.pushes as u64);
         obs.add_mass(user_push.drained);
-        // Same zero-score floor as the CHECK step (see
-        // [`crate::tester::score_floor`]): vacuous candidates never enter
-        // the target list.
-        let floor = crate::tester::score_floor(cfg);
-        let candidates = recommender
-            .candidates(graph, user)
-            .into_iter()
-            .filter(|n| user_push.estimates[n.index()] > floor);
-        let rec_list = RecList::from_scores(&user_push.estimates, candidates, cfg.target_list_size);
+        let rec_list = recommendation_list(graph, cfg, user, &user_push);
         let rec = rec_list.top().ok_or(QuestionError::InvalidUser(user))?;
         let ppr_to_rec = ReversePush::compute_kernel(&*kernel, &cfg.rec.ppr, rec);
         obs.count(Op::ReversePushes, ppr_to_rec.pushes as u64);
@@ -229,12 +221,31 @@ impl<K: CsrRows> UserArtifacts<K> {
     }
 }
 
+/// The user's top-`target_list_size` recommendation list from their
+/// forward push: item candidates the user has not interacted with, ranked
+/// by push estimate. Scores at or below [`crate::tester::score_floor`] —
+/// the CHECK step's zero-score floor — never enter the list, so vacuous
+/// candidates are not targets.
+pub fn recommendation_list<G: GraphView>(
+    graph: &G,
+    cfg: &EmigreConfig,
+    user: NodeId,
+    push: &ForwardPush,
+) -> RecList {
+    let floor = crate::tester::score_floor(cfg);
+    let candidates = PprRecommender::new(cfg.rec)
+        .candidates(graph, user)
+        .into_iter()
+        .filter(|n| push.estimates[n.index()] > floor);
+    RecList::from_scores(&push.estimates, candidates, cfg.target_list_size)
+}
+
 /// Pre-computed state shared by every explanation algorithm for one
 /// `(user, WNI)` question.
 ///
-/// Generic over the kernel layout `K` like [`UserArtifacts`]; the default
-/// keeps every existing call site on the reference [`TransitionCsr`].
-/// Build over a different layout with [`ExplainContext::build_with_kernel`].
+/// Generic over the kernel `K` like [`UserArtifacts`]; the default is the
+/// `f64` [`TransitionCsr`]. Build over another kernel with
+/// [`ExplainContext::build_with_kernel`].
 pub struct ExplainContext<'g, G: GraphView, K = TransitionCsr> {
     pub graph: &'g G,
     pub cfg: EmigreConfig,
@@ -284,6 +295,11 @@ impl<'g, G: GraphView> ExplainContext<'g, G> {
     /// [`ExplainContext::build`] with an explicit observability handle.
     /// The context's pushes are tallied into it at build time, and every
     /// CHECK through this context feeds the same sink.
+    ///
+    /// Builds the graph's transition kernel — one `O(E)` sweep amortised
+    /// across every CHECK — and hands it to
+    /// [`ExplainContext::build_with_kernel`]. The outer `context_build`
+    /// span covers the kernel build too.
     pub fn build_with_obs(
         graph: &'g G,
         cfg: EmigreConfig,
@@ -292,30 +308,18 @@ impl<'g, G: GraphView> ExplainContext<'g, G> {
         obs: ObsHandle,
     ) -> Result<Self, QuestionError> {
         let _span = obs.span("context_build");
-        cfg.validate();
-        // Cheap structural validation first (bounds, typing, interaction).
+        // Reject malformed questions before paying for the kernel.
         WhyNotQuestion::validate(graph, &cfg, user, wni, None)?;
-
-        // All pushes in this context run over the flat transition kernel;
-        // building it is one O(E) sweep amortised across every CHECK.
         let kernel = Arc::new(TransitionCsr::build(graph, cfg.rec.ppr.transition));
-        let artifacts = UserArtifacts::build(graph, &cfg, kernel, user, &obs)?;
-
-        let ppr_to_wni = ReversePush::compute_kernel(&*artifacts.kernel, &cfg.rec.ppr, wni);
-        obs.count(Op::ReversePushes, ppr_to_wni.pushes as u64);
-        obs.add_mass(ppr_to_wni.drained);
-
-        let ws = PushWorkspace::new(graph.num_nodes());
-        Self::from_artifacts(graph, cfg, &artifacts, wni, Arc::new(ppr_to_wni), ws, obs)
+        Self::build_with_kernel(graph, cfg, kernel, user, wni, obs)
     }
 }
 
 impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
-    /// [`ExplainContext::build_with_obs`] over a caller-supplied kernel of
-    /// any layout. The `O(E)` kernel sweep is the caller's (so one compact
-    /// kernel can serve many questions); everything else — validation, the
-    /// user artefacts, the `PPR(·, wni)` column — is computed here exactly
-    /// as in the default build.
+    /// Validates the question and computes the user artefacts and the
+    /// `PPR(·, wni)` column over a caller-supplied kernel of any layout.
+    /// The `O(E)` kernel sweep is the caller's, so one kernel can serve
+    /// many questions.
     pub fn build_with_kernel(
         graph: &'g G,
         cfg: EmigreConfig,

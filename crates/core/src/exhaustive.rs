@@ -112,7 +112,7 @@ fn run<G: GraphView>(
             if t == ctx.rec {
                 (*ctx.ppr_to_rec).clone()
             } else {
-                let p = ReversePush::compute(ctx.graph, &ctx.cfg.rec.ppr, t);
+                let p = ReversePush::compute_kernel(&*ctx.kernel, &ctx.cfg.rec.ppr, t);
                 ctx.obs
                     .count(emigre_obs::Op::ReversePushes, p.pushes as u64);
                 ctx.obs.add_mass(p.drained);

@@ -17,6 +17,9 @@ use crate::explainer::{Explainer, Method};
 use crate::explanation::Explanation;
 use crate::failure::{ExplainFailure, FailureReason};
 use emigre_hin::{EdgeTypeId, GraphView, Hin, NodeId};
+use emigre_obs::ObsHandle;
+use emigre_ppr::{ForwardPush, TransitionCsr};
+use std::sync::Arc;
 
 /// Outcome of a group question: which member was promoted and how.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,8 +44,11 @@ pub fn explain_any_of<G: GraphView>(
     group: &[NodeId],
     method: Method,
 ) -> Result<GroupExplanation, ExplainFailure> {
+    // One kernel serves the ranking push and every member's context.
+    let cfg = explainer.config();
+    let kernel = Arc::new(TransitionCsr::build(g, cfg.rec.ppr.transition));
     // Rank members by their current standing: one forward push.
-    let push = emigre_ppr::ForwardPush::compute(g, &explainer.config().rec.ppr, user);
+    let push = ForwardPush::compute_kernel(&*kernel, &cfg.rec.ppr, user);
     let mut members: Vec<NodeId> = group.to_vec();
     members.sort_by(|a, b| {
         push.estimates[b.index()]
@@ -55,7 +61,15 @@ pub fn explain_any_of<G: GraphView>(
     let mut failed = Vec::new();
     let mut checks = 0usize;
     for wni in members {
-        let Ok(ctx) = ExplainContext::build(g, explainer.config().clone(), user, wni) else {
+        let ctx = ExplainContext::build_with_kernel(
+            g,
+            cfg.clone(),
+            Arc::clone(&kernel),
+            user,
+            wni,
+            ObsHandle::ambient(),
+        );
+        let Ok(ctx) = ctx else {
             continue; // interacted / already recommended / not an item
         };
         match Explainer::explain_with_context(&ctx, method) {

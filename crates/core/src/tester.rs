@@ -10,8 +10,8 @@
 //! [`Tester`] performs that verification. It owns nothing graph-sized: it
 //! borrows the question context and, when `dynamic_test` is enabled,
 //! derives each counterfactual PPR vector from the user's base-graph push
-//! state via residual repair ([`emigre_ppr::dynamic`]) instead of pushing
-//! from scratch.
+//! state via residual repair ([`emigre_ppr::PushWorkspace::repair_row_change`])
+//! instead of pushing from scratch.
 //!
 //! The verification core lives in [`run_check`], a pure function of the
 //! shared question inputs ([`CheckShared`]) and one mutable scratch
@@ -258,9 +258,9 @@ pub struct FirstPass {
 
 /// Verifies candidate action sets for one Why-Not question.
 ///
-/// Generic over the kernel layout `K` ([`CsrRows`]) like the context it
-/// borrows, so verdicts can be cross-checked between the reference
-/// [`TransitionCsr`] and the compact layouts.
+/// Generic over the kernel `K` ([`CsrRows`]) like the context it borrows,
+/// so verdicts can be cross-checked between the `f64` [`TransitionCsr`]
+/// and other probability widths.
 pub struct Tester<'c, 'g, G: GraphView, K = TransitionCsr> {
     ctx: &'c ExplainContext<'g, G, K>,
     checks: Cell<usize>,

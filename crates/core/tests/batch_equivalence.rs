@@ -10,13 +10,13 @@
 //! context built from scratch for that one question.
 
 use emigre_core::batch::batch_contexts;
-use emigre_core::tester::score_floor;
-use emigre_core::{EmigreConfig, ExplainContext, Explainer, Method};
+use emigre_core::{EmigreConfig, ExplainContext, Explainer, Method, UserArtifacts};
 use emigre_data::pipeline::{AmazonHin, PreprocessConfig};
 use emigre_data::synth::{SynthConfig, SynthDataset};
 use emigre_hin::NodeId;
-use emigre_ppr::ForwardPush;
-use emigre_rec::{PprRecommender, RecList, Recommender};
+use emigre_obs::ObsHandle;
+use emigre_ppr::TransitionCsr;
+use std::sync::Arc;
 
 fn dataset(seed: u64) -> (AmazonHin, EmigreConfig) {
     let synth = SynthConfig {
@@ -44,13 +44,10 @@ fn dataset(seed: u64) -> (AmazonHin, EmigreConfig) {
 
 /// The user's recommendation list, computed exactly as the batch path does.
 fn top_list(hin: &AmazonHin, cfg: &EmigreConfig, user: NodeId) -> Vec<NodeId> {
-    let push = ForwardPush::compute(&hin.graph, &cfg.rec.ppr, user);
-    let floor = score_floor(cfg);
-    let candidates = PprRecommender::new(cfg.rec)
-        .candidates(&hin.graph, user)
-        .into_iter()
-        .filter(|n| push.estimates[n.index()] > floor);
-    RecList::from_scores(&push.estimates, candidates, cfg.target_list_size).items()
+    let kernel = Arc::new(TransitionCsr::build(&hin.graph, cfg.rec.ppr.transition));
+    UserArtifacts::build(&hin.graph, cfg, kernel, user, &ObsHandle::disabled())
+        .map(|a| a.rec_list.items())
+        .unwrap_or_default()
 }
 
 #[test]

@@ -463,7 +463,9 @@ impl ScaleGen {
         let mut user = 0u32;
         while (user as usize) < self.spec.num_users {
             chunk.clear();
-            let end = (user as usize).saturating_add(chunk_users).min(self.spec.num_users) as u32;
+            let end = (user as usize)
+                .saturating_add(chunk_users)
+                .min(self.spec.num_users) as u32;
             while user < end {
                 self.user_edges(user, &mut row);
                 chunk.extend(row.iter().map(|&(item, w)| (user, item, w)));
@@ -518,13 +520,8 @@ impl ScaleGen {
             g.add_node(item_t, None);
         }
         self.for_each_edge(1024, |u, i, w| {
-            g.add_edge_bidirectional(
-                emigre_hin::NodeId(u),
-                emigre_hin::NodeId(i),
-                rated,
-                w,
-            )
-            .expect("generator emits unique, in-range edges");
+            g.add_edge_bidirectional(emigre_hin::NodeId(u), emigre_hin::NodeId(i), rated, w)
+                .expect("generator emits unique, in-range edges");
         });
         g
     }
@@ -734,7 +731,10 @@ mod tests {
         let gen = scale_gen(1200);
         let g = gen.materialize_hin();
         assert_eq!(emigre_hin::GraphView::num_nodes(&g), gen.spec().num_nodes());
-        assert_eq!(emigre_hin::GraphView::num_edges(&g), gen.num_directed_edges());
+        assert_eq!(
+            emigre_hin::GraphView::num_edges(&g),
+            gen.num_directed_edges()
+        );
     }
 
     #[test]

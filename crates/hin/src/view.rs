@@ -1,9 +1,9 @@
 //! The read-only traversal trait every graph algorithm is generic over.
 //!
-//! Both the mutable [`crate::Hin`], the immutable [`crate::CsrGraph`]
-//! snapshot and the counterfactual [`crate::DeltaView`] overlay implement
-//! [`GraphView`], so Personalized-PageRank engines and EMiGRe's explanation
-//! search run unchanged on the base graph and on hypothetical edits.
+//! The mutable [`crate::Hin`], the memory-mapped [`crate::Snapshot`] and
+//! the counterfactual [`crate::DeltaView`] overlay implement [`GraphView`],
+//! so transition kernels, the recommender and EMiGRe's explanation search
+//! run unchanged on the base graph, a snapshot and hypothetical edits.
 
 use crate::types::{EdgeTypeId, NodeId, NodeTypeId, TypeRegistry};
 

@@ -136,20 +136,6 @@ proptest! {
         }
     }
 
-    /// CSR snapshots preserve every query the algorithms use.
-    #[test]
-    fn csr_preserves_queries(script in ops(9, 2)) {
-        let mut g = fresh(9);
-        apply(&mut g, &script);
-        let csr = emigre_hin::CsrGraph::from_view(&g);
-        prop_assert_eq!(csr.num_edges(), g.num_edges());
-        for u in g.node_ids() {
-            prop_assert_eq!(csr.out_degree(u), g.out_degree(u));
-            prop_assert_eq!(csr.in_degree(u), g.in_degree(u));
-            prop_assert!((csr.out_weight_sum(u) - g.out_weight_sum(u)).abs() < 1e-12);
-        }
-    }
-
     /// k-hop extraction: every retained node is within k undirected hops of
     /// a seed, and the subgraph is induced (all edges between retained
     /// nodes survive).

@@ -12,13 +12,12 @@
 //! |residuals| ≤ ε, bounding each estimate's error by `max_x PPR(x,t) · Σ|r|`.
 //!
 //! Residuals may be *negative* after a dynamic repair
-//! ([`ForwardPush::repair_row_change`]); the push step is linear, so pushing
-//! negative mass is sound and the same loop handles both signs.
+//! ([`crate::PushWorkspace::repair_row_change`]); the push step is linear,
+//! so pushing negative mass is sound and the same loop handles both signs.
 
 use crate::config::PprConfig;
 use crate::kernel::{CsrRows, Prob};
-use emigre_hin::{GraphView, NodeId};
-use std::collections::VecDeque;
+use emigre_hin::NodeId;
 
 /// State of a Forward Local Push from one source node.
 #[derive(Debug, Clone)]
@@ -46,60 +45,8 @@ impl emigre_obs::HeapSize for ForwardPush {
 }
 
 impl ForwardPush {
-    /// Runs FLP from `seed` to convergence.
-    pub fn compute<G: GraphView>(g: &G, cfg: &PprConfig, seed: NodeId) -> Self {
-        cfg.validate();
-        let n = g.num_nodes();
-        let mut state = ForwardPush {
-            seed,
-            estimates: vec![0.0; n],
-            residuals: vec![0.0; n],
-            pushes: 0,
-            drained: 0.0,
-        };
-        state.residuals[seed.index()] = 1.0;
-        state.push_until_converged(g, cfg);
-        state
-    }
-
-    /// Pushes until every |residual| ≤ ε. Called by [`Self::compute`] and
-    /// after residual repairs.
-    pub fn push_until_converged<G: GraphView>(&mut self, g: &G, cfg: &PprConfig) {
-        let eps = cfg.epsilon;
-        let n = self.residuals.len();
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        let mut queued = vec![false; n];
-        for (i, &r) in self.residuals.iter().enumerate() {
-            if r.abs() > eps {
-                queue.push_back(i as u32);
-                queued[i] = true;
-            }
-        }
-        while let Some(u) = queue.pop_front() {
-            queued[u as usize] = false;
-            let r = self.residuals[u as usize];
-            if r.abs() <= eps {
-                continue;
-            }
-            self.residuals[u as usize] = 0.0;
-            self.estimates[u as usize] += cfg.alpha * r;
-            self.pushes += 1;
-            self.drained += r.abs();
-            let spread = (1.0 - cfg.alpha) * r;
-            let residuals = &mut self.residuals;
-            cfg.transition.for_each_probability(g, NodeId(u), |v, p| {
-                let vi = v.index();
-                residuals[vi] += spread * p;
-                if residuals[vi].abs() > eps && !queued[vi] {
-                    queued[vi] = true;
-                    queue.push_back(vi as u32);
-                }
-            });
-        }
-    }
-
     /// Runs FLP from `seed` to convergence over a precomputed transition
-    /// kernel — the flat fast path of [`Self::compute`].
+    /// kernel.
     pub fn compute_kernel<K: CsrRows>(kernel: &K, cfg: &PprConfig, seed: NodeId) -> Self {
         cfg.validate();
         let n = kernel.num_nodes();
@@ -115,15 +62,14 @@ impl ForwardPush {
         state
     }
 
-    /// [`Self::push_until_converged`] over a precomputed transition kernel:
-    /// the inner loop reads merged `(dst, prob)` row slices instead of
-    /// re-deriving per-edge probabilities from the graph view.
+    /// Pushes until every |residual| ≤ ε, reading merged `(dst, prob)` row
+    /// slices of the kernel.
     ///
     /// Schedule: whole-array Gauss–Seidel sweeps in node order until no
     /// residual exceeds ε. A sweep walks the CSR arrays sequentially — no
     /// queue traffic, no visited bitmap, no random-order row access — which
-    /// measures ~3× faster per push than the FIFO discipline of the generic
-    /// loop. Push operations are valid in any order, so the Eq. (3)
+    /// measured ~3× faster per push than a FIFO queue discipline. Push
+    /// operations are valid in any order, so the Eq. (3)
     /// invariant and the ε guarantee are unaffected; each push retires at
     /// least `α·ε` of residual mass, so the sweep count is bounded by
     /// `Σ|r| / (α·ε)` and in practice by `O(log(1/ε))`.
@@ -132,11 +78,7 @@ impl ForwardPush {
     /// `spread × probs` multiply autovectorises into a stack buffer before
     /// the scatter pass applies it. Per-entry arithmetic and order are
     /// unchanged, so estimates stay bit-identical to the fused loop.
-    pub fn push_until_converged_kernel<K: CsrRows>(
-        &mut self,
-        kernel: &K,
-        cfg: &PprConfig,
-    ) {
+    pub fn push_until_converged_kernel<K: CsrRows>(&mut self, kernel: &K, cfg: &PprConfig) {
         let eps = cfg.epsilon;
         let n = self.residuals.len();
         const CHUNK: usize = 32;
@@ -186,60 +128,13 @@ impl ForwardPush {
     pub fn residual_mass(&self) -> f64 {
         self.residuals.iter().map(|r| r.abs()).sum()
     }
-
-    /// Repairs the Eq. (3) invariant after the transition row of `node`
-    /// changed from `old_row` to `new_row` (both as `(dst, probability)`
-    /// pairs as produced by [`crate::transition::transition_row`]).
-    ///
-    /// Derivation: given estimates `p`, the unique residual satisfying the
-    /// invariant is `r = e_s − (p − (1−α)·pW)/α`, so a change to row `u`
-    /// shifts `r(t)` by `(1−α)/α · p(u) · ΔW(u,t)` for every affected `t`.
-    /// The caller must then resume pushing ([`Self::push_until_converged`])
-    /// on the *updated* graph, which [`Self::repair_and_push`] does in one
-    /// call.
-    pub fn repair_row_change(
-        &mut self,
-        cfg: &PprConfig,
-        node: NodeId,
-        old_row: &[(NodeId, f64)],
-        new_row: &[(NodeId, f64)],
-    ) {
-        let pu = self.estimates[node.index()];
-        if pu == 0.0 {
-            return;
-        }
-        let scale = (1.0 - cfg.alpha) / cfg.alpha * pu;
-        for &(t, p_new) in new_row {
-            self.residuals[t.index()] += scale * p_new;
-        }
-        for &(t, p_old) in old_row {
-            self.residuals[t.index()] -= scale * p_old;
-        }
-    }
-
-    /// Convenience: repairs residuals for every changed transition row
-    /// between two graph views and pushes to convergence on the new view.
-    /// `touched` lists the nodes whose out-rows may differ.
-    pub fn repair_and_push<GOld: GraphView, GNew: GraphView>(
-        &mut self,
-        old_g: &GOld,
-        new_g: &GNew,
-        touched: &[NodeId],
-        cfg: &PprConfig,
-    ) {
-        for &u in touched {
-            let old_row = crate::transition::transition_row(old_g, cfg.transition, u);
-            let new_row = crate::transition::transition_row(new_g, cfg.transition, u);
-            self.repair_row_change(cfg, u, &old_row, &new_row);
-        }
-        self.push_until_converged(new_g, cfg);
-    }
 }
 
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // tests index parallel arrays by node id
 mod tests {
     use super::*;
+    use crate::kernel::TransitionCsr;
     use crate::power::ppr_power;
     use crate::transition::TransitionModel;
     use emigre_hin::Hin;
@@ -271,7 +166,8 @@ mod tests {
         let g = ring_with_chords(12);
         let c = cfg(1e-10);
         let exact = ppr_power(&g, &c, NodeId(0));
-        let fp = ForwardPush::compute(&g, &c, NodeId(0));
+        let fp =
+            ForwardPush::compute_kernel(&TransitionCsr::build(&g, c.transition), &c, NodeId(0));
         for t in 0..12 {
             assert!(
                 (fp.estimates[t] - exact[t]).abs() < 1e-7,
@@ -286,7 +182,8 @@ mod tests {
     fn invariant_holds_at_loose_epsilon() {
         let g = ring_with_chords(10);
         let c = cfg(1e-3); // deliberately loose: large residuals remain
-        let fp = ForwardPush::compute(&g, &c, NodeId(4));
+        let fp =
+            ForwardPush::compute_kernel(&TransitionCsr::build(&g, c.transition), &c, NodeId(4));
         let tight = cfg(1e-10);
         // PPR(s,t) = p(t) + Σ_x r(x)·PPR(x,t), with PPR exact.
         let exact_from: Vec<Vec<f64>> = (0..10)
@@ -313,7 +210,8 @@ mod tests {
         // estimates can only under-approximate.
         let g = ring_with_chords(8);
         let c = cfg(1e-4);
-        let fp = ForwardPush::compute(&g, &c, NodeId(0));
+        let fp =
+            ForwardPush::compute_kernel(&TransitionCsr::build(&g, c.transition), &c, NodeId(0));
         assert!(fp.residuals.iter().all(|&r| r >= -1e-15));
         let exact = ppr_power(&g, &cfg(1e-10), NodeId(0));
         for t in 0..8 {
@@ -325,7 +223,8 @@ mod tests {
     fn conservation_with_no_dangling_nodes() {
         let g = ring_with_chords(9);
         let c = cfg(1e-8);
-        let fp = ForwardPush::compute(&g, &c, NodeId(1));
+        let fp =
+            ForwardPush::compute_kernel(&TransitionCsr::build(&g, c.transition), &c, NodeId(1));
         // estimates + α-discounted future mass: total estimate mass plus
         // residual mass·1 ≈ 1 within push error when no mass leaks.
         let est: f64 = fp.estimates.iter().sum();
@@ -334,71 +233,11 @@ mod tests {
     }
 
     #[test]
-    fn repair_after_edge_insertion_matches_fresh_computation() {
-        let mut g = ring_with_chords(10);
-        let c = cfg(1e-9);
-        let mut fp = ForwardPush::compute(&g, &c, NodeId(0));
-
-        let et = g.registry().find_edge_type("e").unwrap();
-        let old = g.clone();
-        g.add_edge(NodeId(2), NodeId(7), et, 5.0).unwrap();
-        fp.repair_and_push(&old, &g, &[NodeId(2)], &c);
-
-        let fresh = ForwardPush::compute(&g, &c, NodeId(0));
-        let exact = ppr_power(&g, &c, NodeId(0));
-        for t in 0..10 {
-            assert!(
-                (fp.estimates[t] - exact[t]).abs() < 1e-6,
-                "t={t}: repaired {} vs exact {}",
-                fp.estimates[t],
-                exact[t]
-            );
-            assert!((fp.estimates[t] - fresh.estimates[t]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn repair_after_edge_removal_matches_fresh_computation() {
-        let mut g = ring_with_chords(10);
-        let c = cfg(1e-9);
-        let mut fp = ForwardPush::compute(&g, &c, NodeId(3));
-        let et = g.registry().find_edge_type("e").unwrap();
-        let old = g.clone();
-        g.remove_edge(NodeId(4), NodeId(5), et).unwrap();
-        fp.repair_and_push(&old, &g, &[NodeId(4)], &c);
-        let exact = ppr_power(&g, &c, NodeId(3));
-        for t in 0..10 {
-            assert!(
-                (fp.estimates[t] - exact[t]).abs() < 1e-6,
-                "t={t}: {} vs {}",
-                fp.estimates[t],
-                exact[t]
-            );
-        }
-    }
-
-    #[test]
-    fn repair_with_delta_overlay() {
-        use emigre_hin::{EdgeKey, GraphDelta};
-        let g = ring_with_chords(8);
-        let et = g.registry().find_edge_type("e").unwrap();
-        let c = cfg(1e-9);
-        let mut fp = ForwardPush::compute(&g, &c, NodeId(0));
-        let mut d = GraphDelta::new();
-        d.remove_edge(EdgeKey::new(NodeId(0), NodeId(1), et));
-        let view = d.overlay(&g);
-        fp.repair_and_push(&g, &view, &d.touched_sources(), &c);
-        let exact = ppr_power(&view, &c, NodeId(0));
-        for t in 0..8 {
-            assert!((fp.estimates[t] - exact[t]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn seed_estimate_at_least_alpha() {
         let g = ring_with_chords(7);
         let c = cfg(1e-8);
-        let fp = ForwardPush::compute(&g, &c, NodeId(6));
+        let fp =
+            ForwardPush::compute_kernel(&TransitionCsr::build(&g, c.transition), &c, NodeId(6));
         assert!(fp.estimate(NodeId(6)) >= c.alpha - 1e-6);
     }
 }

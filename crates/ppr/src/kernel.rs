@@ -1,25 +1,17 @@
 //! Flat transition kernels: precomputed CSR transition rows.
 //!
-//! The generic push loops traverse a [`GraphView`] edge-by-edge and
-//! recompute each edge's transition probability on the fly — for the
-//! reverse push that even means an `out_degree` + `out_weight_sum` scan of
-//! the *source* node per in-edge visited. Since the transition matrix `W`
-//! only depends on `(graph, TransitionModel)`, EMiGRe's hot loops can
-//! instead run over a materialised CSR: `W`'s rows (and columns) in flat
-//! offset/destination/probability arrays, with parallel edges already
-//! merged.
+//! The transition matrix `W` only depends on `(graph, TransitionModel)`,
+//! so every push runs over a materialised CSR: `W`'s rows (and columns) in
+//! flat offset/destination/probability arrays, with parallel edges already
+//! merged, instead of re-deriving each edge's probability from a
+//! [`GraphView`] per visit.
 //!
-//! Two layouts implement the row-access trait [`CsrRows`]:
-//!
-//! * [`TransitionCsr`] — the reference layout: `usize` offsets, `f64`
-//!   probabilities. Every verdict-critical path runs on it by default.
-//! * [`CompactCsr`] — the scale layout: `u32` offsets and an `f32`- or
-//!   `f64`-selectable probability element (see [`Prob`]), cutting the
-//!   resident footprint by roughly a third at mean degree ~10 and by
-//!   half in the offset-dominated sparse limit. `CompactCsr<f64>` is
-//!   row-for-row **bit-identical** to `TransitionCsr`; `CompactCsr<f32>`
-//!   trades ~6e-8 relative row error for the smallest footprint (see
-//!   DESIGN.md "Scale substrate" for the error budget against ε).
+//! There is one layout, [`CompactCsr<P>`]: `u32` offsets and destinations
+//! and a probability element `P` (see [`Prob`]). [`TransitionCsr`] is its
+//! `f64` instance and the kernel every verdict-critical path runs on;
+//! `CompactCsr<f32>` halves the probability arrays at ~6e-8 relative row
+//! error (see DESIGN.md "Scale substrate" for the error budget against ε).
+//! Push loops read rows through the [`CsrRows`] trait.
 //!
 //! Counterfactual CHECKs evaluate `base ⊕ delta` graphs that differ from
 //! the base in a handful of user-rooted edges. Rebuilding the CSR per CHECK
@@ -42,9 +34,7 @@ use std::collections::HashMap;
 /// estimate, residual and verdict — is bit-identical to the pre-generic
 /// kernels. `f32` halves the probability arrays at ~6e-8 relative
 /// quantisation error per entry.
-pub trait Prob:
-    Copy + Send + Sync + PartialEq + std::fmt::Debug + HeapSize + 'static
-{
+pub trait Prob: Copy + Send + Sync + PartialEq + std::fmt::Debug + HeapSize + 'static {
     fn to_f64(self) -> f64;
     fn from_f64(v: f64) -> Self;
 }
@@ -76,10 +66,8 @@ impl Prob for f32 {
 /// `forward_row(u)` yields `(dsts, probs)` with `probs[i] = W(u, dsts[i])`;
 /// `reverse_row(v)` yields `(srcs, probs)` with `probs[i] = W(srcs[i], v)`.
 /// Parallel edges are merged, so destinations within a row are distinct.
-///
-/// Historically named `TransitionKernel` (the alias is still exported);
-/// the trait gained the probability-element associated type when
-/// [`CompactCsr`] introduced a second layout.
+/// Implemented by [`CompactCsr`], by the [`PatchedCsr`] overlay on top of
+/// it, and by references to either.
 pub trait CsrRows {
     /// Element type of the probability arrays.
     type P: Prob;
@@ -175,8 +163,7 @@ pub trait CsrRows {
                 cache.misses += 1;
                 transition_row_into(view, self.model(), u, &mut row);
                 let dsts: Vec<u32> = row.iter().map(|&(v, _)| v.0).collect();
-                let probs: Vec<Self::P> =
-                    row.iter().map(|&(_, p)| Self::P::from_f64(p)).collect();
+                let probs: Vec<Self::P> = row.iter().map(|&(_, p)| Self::P::from_f64(p)).collect();
                 fwd_patches.push((u.0, dsts, probs));
             }
         }
@@ -195,7 +182,10 @@ pub trait CsrRows {
     /// materialises a graph — the million-node bench leg — needs to run a
     /// CHECK against a streamed kernel. Reverse patches derive lazily from
     /// the supplied rows exactly as for view-built patches.
-    fn patched_rows<'a>(&'a self, mut rows: Vec<(u32, Vec<u32>, Vec<Self::P>)>) -> PatchedCsr<'a, Self>
+    fn patched_rows<'a>(
+        &'a self,
+        mut rows: Vec<(u32, Vec<u32>, Vec<Self::P>)>,
+    ) -> PatchedCsr<'a, Self>
     where
         Self: Sized,
     {
@@ -208,156 +198,17 @@ pub trait CsrRows {
     }
 }
 
-/// Backward-compatible name for [`CsrRows`] from before the compact layout
-/// existed.
-pub use CsrRows as TransitionKernel;
-
 /// The transition matrix of one `(graph, model)` pair in CSR form, forward
-/// and reverse. Reference layout: `usize` offsets, `f64` probabilities.
-#[derive(Debug, Clone)]
-pub struct TransitionCsr {
-    model: TransitionModel,
-    fwd_offsets: Vec<usize>,
-    fwd_dsts: Vec<u32>,
-    fwd_probs: Vec<f64>,
-    rev_offsets: Vec<usize>,
-    rev_srcs: Vec<u32>,
-    rev_probs: Vec<f64>,
-}
-
-impl TransitionCsr {
-    /// Materialises every transition row of `g` under `model`. `O(V + E)`
-    /// memory, `O(E log deg_max)` time.
-    pub fn build<G: GraphView>(g: &G, model: TransitionModel) -> Self {
-        let n = g.num_nodes();
-        let mut fwd_offsets = Vec::with_capacity(n + 1);
-        fwd_offsets.push(0usize);
-        let mut fwd_dsts: Vec<u32> = Vec::new();
-        let mut fwd_probs: Vec<f64> = Vec::new();
-        let mut row: Vec<(NodeId, f64)> = Vec::new();
-        for u in 0..n as u32 {
-            transition_row_into(g, model, NodeId(u), &mut row);
-            for &(v, p) in &row {
-                fwd_dsts.push(v.0);
-                fwd_probs.push(p);
-            }
-            fwd_offsets.push(fwd_dsts.len());
-        }
-
-        Self::from_forward(model, fwd_offsets, fwd_dsts, fwd_probs)
-    }
-
-    /// Assembles a kernel from finished forward rows, deriving the reverse
-    /// arrays by counting sort: one pass to size the reverse rows, one to
-    /// fill them (sources come out in ascending order).
-    fn from_forward(
-        model: TransitionModel,
-        fwd_offsets: Vec<usize>,
-        fwd_dsts: Vec<u32>,
-        fwd_probs: Vec<f64>,
-    ) -> Self {
-        let n = fwd_offsets.len() - 1;
-        let mut rev_offsets = vec![0usize; n + 1];
-        for &v in &fwd_dsts {
-            rev_offsets[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            rev_offsets[i + 1] += rev_offsets[i];
-        }
-        let mut cursor = rev_offsets.clone();
-        let mut rev_srcs = vec![0u32; fwd_dsts.len()];
-        let mut rev_probs = vec![0.0f64; fwd_dsts.len()];
-        for u in 0..n {
-            for e in fwd_offsets[u]..fwd_offsets[u + 1] {
-                let v = fwd_dsts[e] as usize;
-                let slot = cursor[v];
-                cursor[v] += 1;
-                rev_srcs[slot] = u as u32;
-                rev_probs[slot] = fwd_probs[e];
-            }
-        }
-
-        TransitionCsr {
-            model,
-            fwd_offsets,
-            fwd_dsts,
-            fwd_probs,
-            rev_offsets,
-            rev_srcs,
-            rev_probs,
-        }
-    }
-
-    /// A new **owned** kernel equal to `TransitionCsr::build(view, model)`:
-    /// the `touched` rows are re-evaluated on `view` (the updated graph) and
-    /// every other row's slices are copied verbatim from `self`. This is the
-    /// committed counterpart of [`CsrRows::patched`] — instead of a
-    /// borrowed overlay for one CHECK, it produces a standalone kernel that
-    /// outlives `self`, which is what an epoch publish needs. Forward cost
-    /// is `O(Σ deg(touched))` recompute plus an `O(E)` memcpy; the reverse
-    /// transpose is rebuilt by counting sort (`O(V + E)`), so the whole
-    /// rebuild stays linear in the graph rather than `O(E log deg)`.
-    ///
-    /// `view` must have the same node count as the base kernel: live
-    /// feedback mutates edges between existing nodes, never the node set.
-    pub fn rebuild_rows<G: GraphView>(&self, view: &G, touched: &[NodeId]) -> TransitionCsr {
-        let n = self.num_nodes();
-        debug_assert_eq!(view.num_nodes(), n, "rebuild_rows: node count changed");
-        let mut is_touched = vec![false; n];
-        for &u in touched {
-            is_touched[u.index()] = true;
-        }
-
-        let mut fwd_offsets = Vec::with_capacity(n + 1);
-        fwd_offsets.push(0usize);
-        let mut fwd_dsts: Vec<u32> = Vec::with_capacity(self.fwd_dsts.len());
-        let mut fwd_probs: Vec<f64> = Vec::with_capacity(self.fwd_probs.len());
-        let mut row: Vec<(NodeId, f64)> = Vec::new();
-        for (u, &rebuild) in is_touched.iter().enumerate() {
-            if rebuild {
-                transition_row_into(view, self.model, NodeId(u as u32), &mut row);
-                for &(v, p) in &row {
-                    fwd_dsts.push(v.0);
-                    fwd_probs.push(p);
-                }
-            } else {
-                let (dsts, probs) = self.forward_row(NodeId(u as u32));
-                fwd_dsts.extend_from_slice(dsts);
-                fwd_probs.extend_from_slice(probs);
-            }
-            fwd_offsets.push(fwd_dsts.len());
-        }
-
-        Self::from_forward(self.model, fwd_offsets, fwd_dsts, fwd_probs)
-    }
-
-    /// The transition model the rows were materialised under.
-    pub fn model(&self) -> TransitionModel {
-        self.model
-    }
-
-    /// Total number of stored transition entries.
-    pub fn num_entries(&self) -> usize {
-        self.fwd_dsts.len()
-    }
-}
-
-/// The compact struct-of-arrays layout for million-node graphs: `u32` row
-/// offsets (so a kernel is addressable up to 2^32−1 entries) and a
-/// caller-selected probability element.
-///
-/// `CompactCsr<f64>` stores exactly the values `TransitionCsr` would and is
-/// bit-identical row-for-row; `CompactCsr<f32>` (the default) narrows each
-/// probability once at build time, which is the smallest layout:
+/// and reverse, as struct-of-arrays: `u32` row offsets (so a kernel is
+/// addressable up to 2^32−1 entries) and a caller-selected probability
+/// element. Rows are always computed at `f64`; `CompactCsr<f32>` (the type
+/// default) narrows each probability once at build time:
 ///
 /// ```text
 /// per direction      offsets      dsts      probs
-/// TransitionCsr      8(n+1) B     4E B      8E B
+/// CompactCsr<f64>    4(n+1) B     4E B      8E B
 /// CompactCsr<f32>    4(n+1) B     4E B      4E B
 /// ```
-///
-/// At mean degree 10 that is a ~35% cut; at mean degree ~1 (offset-
-/// dominated) it approaches 50%.
 #[derive(Debug, Clone)]
 pub struct CompactCsr<P: Prob = f32> {
     model: TransitionModel,
@@ -370,9 +221,9 @@ pub struct CompactCsr<P: Prob = f32> {
 }
 
 impl<P: Prob> CompactCsr<P> {
-    /// Materialises every transition row of `g` under `model`, exactly like
-    /// [`TransitionCsr::build`] but into the compact layout. Probabilities
-    /// are computed at `f64` and narrowed once per entry.
+    /// Materialises every transition row of `g` under `model`. `O(V + E)`
+    /// memory, `O(E log deg_max)` time. Probabilities are computed at `f64`
+    /// and narrowed once per entry.
     pub fn build<G: GraphView>(g: &G, model: TransitionModel) -> Self {
         let n = g.num_nodes();
         let mut fwd_offsets: Vec<u32> = Vec::with_capacity(n + 1);
@@ -459,8 +310,7 @@ impl<P: Prob> CompactCsr<P> {
                 let slot = cursor[d] as usize;
                 cursor[d] += 1;
                 fwd_dsts[slot] = src;
-                fwd_probs[slot] =
-                    P::from_f64(model.edge_probability(w, wsum[d], deg[d] as usize));
+                fwd_probs[slot] = P::from_f64(model.edge_probability(w, wsum[d], deg[d] as usize));
             }
         });
         drop(cursor);
@@ -470,8 +320,9 @@ impl<P: Prob> CompactCsr<P> {
         Self::from_forward(model, fwd_offsets, fwd_dsts, fwd_probs)
     }
 
-    /// Counting-sort transpose, the `u32`-offset twin of
-    /// [`TransitionCsr::from_forward`].
+    /// Assembles a kernel from finished forward rows, deriving the reverse
+    /// arrays by counting sort: one pass to size the reverse rows, one to
+    /// fill them (sources come out in ascending order).
     fn from_forward(
         model: TransitionModel,
         fwd_offsets: Vec<u32>,
@@ -510,7 +361,18 @@ impl<P: Prob> CompactCsr<P> {
         }
     }
 
-    /// Committed row rebuild, mirroring [`TransitionCsr::rebuild_rows`].
+    /// A new **owned** kernel equal to `CompactCsr::build(view, model)`:
+    /// the `touched` rows are re-evaluated on `view` (the updated graph) and
+    /// every other row's slices are copied verbatim from `self`. This is the
+    /// committed counterpart of [`CsrRows::patched`] — instead of a
+    /// borrowed overlay for one CHECK, it produces a standalone kernel that
+    /// outlives `self`, which is what an epoch publish needs. Forward cost
+    /// is `O(Σ deg(touched))` recompute plus an `O(E)` memcpy; the reverse
+    /// transpose is rebuilt by counting sort (`O(V + E)`), so the whole
+    /// rebuild stays linear in the graph rather than `O(E log deg)`.
+    ///
+    /// `view` must have the same node count as the base kernel: live
+    /// feedback mutates edges between existing nodes, never the node set.
     pub fn rebuild_rows<G: GraphView>(&self, view: &G, touched: &[NodeId]) -> CompactCsr<P> {
         let n = self.num_nodes();
         debug_assert_eq!(view.num_nodes(), n, "rebuild_rows: node count changed");
@@ -552,6 +414,10 @@ impl<P: Prob> CompactCsr<P> {
         self.fwd_dsts.len()
     }
 }
+
+/// The `f64` kernel: the layout of every verdict-critical push (context
+/// builds, CHECKs, the server's epochs).
+pub type TransitionCsr = CompactCsr<f64>;
 
 #[inline]
 fn checked_u32(v: usize) -> u32 {
@@ -605,32 +471,6 @@ impl RowCache {
     /// Drops all cached rows, keeping the map's capacity.
     pub fn clear(&mut self) {
         self.entries.clear();
-    }
-}
-
-impl CsrRows for TransitionCsr {
-    type P = f64;
-
-    #[inline]
-    fn num_nodes(&self) -> usize {
-        self.fwd_offsets.len() - 1
-    }
-
-    #[inline]
-    fn model(&self) -> TransitionModel {
-        self.model
-    }
-
-    #[inline]
-    fn forward_row(&self, u: NodeId) -> (&[u32], &[f64]) {
-        let (s, e) = (self.fwd_offsets[u.index()], self.fwd_offsets[u.index() + 1]);
-        (&self.fwd_dsts[s..e], &self.fwd_probs[s..e])
-    }
-
-    #[inline]
-    fn reverse_row(&self, v: NodeId) -> (&[u32], &[f64]) {
-        let (s, e) = (self.rev_offsets[v.index()], self.rev_offsets[v.index() + 1]);
-        (&self.rev_srcs[s..e], &self.rev_probs[s..e])
     }
 }
 
@@ -789,18 +629,6 @@ impl<K: CsrRows + ?Sized> CsrRows for &K {
 }
 
 /// Exact: six flat CSR arrays, nothing shared, counted at capacity.
-impl HeapSize for TransitionCsr {
-    fn heap_bytes(&self) -> usize {
-        self.fwd_offsets.heap_bytes()
-            + self.fwd_dsts.heap_bytes()
-            + self.fwd_probs.heap_bytes()
-            + self.rev_offsets.heap_bytes()
-            + self.rev_srcs.heap_bytes()
-            + self.rev_probs.heap_bytes()
-    }
-}
-
-/// Exact, like [`TransitionCsr`]'s: six flat arrays at capacity.
 impl<P: Prob> HeapSize for CompactCsr<P> {
     fn heap_bytes(&self) -> usize {
         self.fwd_offsets.heap_bytes()
@@ -1124,14 +952,13 @@ mod tests {
         // `vec!` buffers have capacity == len and the derived reverse
         // arrays are allocated exactly sized, so the structural audit must
         // equal the closed-form byte count — no slack, no estimate.
-        let fwd_offsets = vec![0usize, 1, 2, 3];
+        let fwd_offsets = vec![0u32, 1, 2, 3];
         let fwd_dsts = vec![1u32, 2, 0];
         let fwd_probs = vec![1.0f64, 1.0, 1.0];
         let csr = TransitionCsr::from_forward(model(), fwd_offsets, fwd_dsts, fwd_probs);
-        let usz = std::mem::size_of::<usize>();
-        // fwd_offsets (4×usize) + fwd_dsts (3×u32) + fwd_probs (3×f64),
+        // fwd_offsets (4×u32) + fwd_dsts (3×u32) + fwd_probs (3×f64),
         // mirrored exactly by the counting-sorted reverse arrays.
-        let expected = 2 * (4 * usz + 3 * 4 + 3 * 8);
+        let expected = 2 * (4 * 4 + 3 * 4 + 3 * 8);
         assert_eq!(csr.heap_bytes(), expected);
         assert_eq!(csr.num_entries(), 3);
     }
@@ -1154,29 +981,6 @@ mod tests {
     // ---- CompactCsr ----
 
     #[test]
-    fn compact_f64_is_bit_identical_to_transition_csr() {
-        let g = sample_graph();
-        let reference = TransitionCsr::build(&g, model());
-        let compact: CompactCsr<f64> = CompactCsr::build(&g, model());
-        assert_eq!(compact.num_nodes(), reference.num_nodes());
-        assert_eq!(compact.num_entries(), reference.num_entries());
-        for u in 0..g.num_nodes() as u32 {
-            let (cd, cp) = compact.forward_row(NodeId(u));
-            let (rd, rp) = reference.forward_row(NodeId(u));
-            assert_eq!(cd, rd);
-            for (a, b) in cp.iter().zip(rp) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-            let (cs, cpr) = compact.reverse_row(NodeId(u));
-            let (rs, rpr) = reference.reverse_row(NodeId(u));
-            assert_eq!(cs, rs);
-            for (a, b) in cpr.iter().zip(rpr) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn compact_f32_rows_track_reference_within_quantisation() {
         let g = sample_graph();
         let reference = TransitionCsr::build(&g, model());
@@ -1194,60 +998,14 @@ mod tests {
     }
 
     #[test]
-    fn compact_is_at_least_a_third_smaller_than_reference() {
+    fn f32_layout_saves_four_bytes_per_entry_and_direction() {
         let g = sample_graph();
         let reference = TransitionCsr::build(&g, model());
         let compact: CompactCsr<f32> = CompactCsr::build(&g, model());
-        let ratio = compact.heap_bytes() as f64 / reference.heap_bytes() as f64;
-        assert!(
-            ratio < 0.67,
-            "compact/reference byte ratio {ratio:.3} not under 0.67"
-        );
-    }
-
-    #[test]
-    fn compact_rebuild_rows_matches_full_build() {
-        let g = sample_graph();
-        let et = g.registry().find_edge_type("a").unwrap();
-        let csr: CompactCsr<f64> = CompactCsr::build(&g, model());
-        let mut d = GraphDelta::new();
-        d.remove_edge(EdgeKey::new(NodeId(0), NodeId(1), et));
-        d.add_edge(EdgeKey::new(NodeId(3), NodeId(0), et), 1.5);
-        let committed = d.apply_to(&g).unwrap();
-        let incremental = csr.rebuild_rows(&committed, &d.touched_sources());
-        let full: CompactCsr<f64> = CompactCsr::build(&committed, model());
-        assert_eq!(incremental.num_entries(), full.num_entries());
-        for u in 0..g.num_nodes() as u32 {
-            let (id, ip) = incremental.forward_row(NodeId(u));
-            let (fd, fp) = full.forward_row(NodeId(u));
-            assert_eq!(id, fd);
-            for (a, b) in ip.iter().zip(fp) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn compact_patched_matches_patched_reference() {
-        let g = sample_graph();
-        let et = g.registry().find_edge_type("a").unwrap();
-        let reference = TransitionCsr::build(&g, model());
-        let compact: CompactCsr<f64> = CompactCsr::build(&g, model());
-        let mut d = GraphDelta::new();
-        d.remove_edge(EdgeKey::new(NodeId(0), NodeId(1), et));
-        d.add_edge(EdgeKey::new(NodeId(2), NodeId(5), et), 2.0);
-        let view = d.overlay(&g);
-        let touched = d.touched_sources();
-        let pr = reference.patched(&view, &touched);
-        let pc = compact.patched(&view, &touched);
-        for u in 0..g.num_nodes() as u32 {
-            let (ad, ap) = pr.forward_row(NodeId(u));
-            let (bd, bp) = pc.forward_row(NodeId(u));
-            assert_eq!(ad, bd);
-            for (x, y) in ap.iter().zip(bp) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
+        assert_eq!(compact.num_entries(), reference.num_entries());
+        // Forward arrays are counted at capacity, so the saving is at least
+        // (not exactly) 4 bytes per stored probability in each direction.
+        assert!(reference.heap_bytes() - compact.heap_bytes() >= 2 * 4 * reference.num_entries());
     }
 
     #[test]
@@ -1273,7 +1031,8 @@ mod tests {
             g.add_node(nt, None);
         }
         for &(u, i, w) in &edges {
-            g.add_edge_bidirectional(NodeId(u), NodeId(i), et, w).unwrap();
+            g.add_edge_bidirectional(NodeId(u), NodeId(i), et, w)
+                .unwrap();
         }
 
         let m = TransitionModel::Weighted;

@@ -4,7 +4,7 @@
 //! (PPR, Jeh & Widom) over a Heterogeneous Information Network, and keeps it
 //! tractable with the **Forward Local Push** and **Reverse Local Push**
 //! approximations of Zhang, Lofgren & Goel (KDD'16), including their
-//! dynamic-graph updates. This crate implements all of it:
+//! dynamic-graph residual repair. This crate implements all of it:
 //!
 //! * [`power`] — dense power iteration; the exact reference every
 //!   approximation is validated against;
@@ -13,29 +13,29 @@
 //!   `PPR(s,t) = p(t) + Σ_x r(x)·PPR(x,t)`;
 //! * [`reverse`] — Reverse Local Push towards a target node, maintaining the
 //!   invariant of Eq. (4): `PPR(s,t) = p(s) + Σ_x PPR(s,x)·r(x)`;
-//! * [`dynamic`] — closed-form residual repair after an edge insertion or
-//!   deletion, so push states survive graph updates without recomputation;
 //! * [`monte_carlo`] — α-terminated random-walk estimation, the sampling
 //!   engine Zhang et al. pair with reverse push;
 //! * [`transition`] — the random-walk transition models (weighted, uniform,
 //!   and the RecWalk-style β-mix the paper configures with β = 0.5);
-//! * [`kernel`] — flat-CSR transition snapshots ([`kernel::TransitionCsr`])
-//!   with delta-aware row patching ([`kernel::PatchedCsr`]), the fast path
-//!   of every push loop;
+//! * [`kernel`] — the flat-CSR transition matrix every push runs over
+//!   ([`kernel::CompactCsr`], `f64` instance [`kernel::TransitionCsr`])
+//!   with delta-aware row patching ([`kernel::PatchedCsr`]);
 //! * [`workspace`] — reusable transactional push state
 //!   ([`workspace::PushWorkspace`]) making the counterfactual CHECK free of
-//!   per-call `O(n)` allocations: each precision stage runs Gauss–Seidel
-//!   frontier sweeps over an `active` bitset in ascending node order, and
-//!   rollback restores the nodes in a `touched` bitset from the shared,
-//!   loaded base state;
+//!   per-call `O(n)` allocations: a closed-form residual repair of each
+//!   changed row, then per precision stage Gauss–Seidel frontier sweeps
+//!   over an `active` bitset in ascending node order; rollback restores
+//!   the nodes in a `touched` bitset from the shared, loaded base state;
 //! * [`topk`] — deterministic top-k extraction with exclusion sets.
 //!
-//! All engines are generic over [`emigre_hin::GraphView`], so they run
-//! unchanged on the base graph, CSR snapshots, and counterfactual
-//! [`emigre_hin::DeltaView`] overlays.
+//! The push engines read a kernel through [`kernel::CsrRows`]; a graph
+//! (any [`emigre_hin::GraphView`]: the base graph, a snapshot, or a
+//! counterfactual [`emigre_hin::DeltaView`] overlay) enters only when a
+//! kernel or a patched row is built from it. [`power`] and [`monte_carlo`]
+//! walk the view directly: they are the references the push engines are
+//! checked against.
 
 pub mod config;
-pub mod dynamic;
 pub mod forward;
 pub mod kernel;
 pub mod monte_carlo;
@@ -47,9 +47,7 @@ pub mod workspace;
 
 pub use config::PprConfig;
 pub use forward::ForwardPush;
-pub use kernel::{
-    CompactCsr, CsrRows, PatchedCsr, Prob, RowCache, RowKey, TransitionCsr, TransitionKernel,
-};
+pub use kernel::{CompactCsr, CsrRows, PatchedCsr, Prob, RowCache, RowKey, TransitionCsr};
 pub use monte_carlo::ppr_monte_carlo;
 pub use power::ppr_power;
 pub use reverse::ReversePush;

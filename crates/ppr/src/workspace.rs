@@ -211,8 +211,13 @@ impl PushWorkspace {
     }
 
     /// Repairs the Eq. (3) invariant after `node`'s transition row changed
-    /// from `old_row` to `new_row`, both as kernel row slices. Mirrors
-    /// [`ForwardPush::repair_row_change`] on the workspace state.
+    /// from `old_row` to `new_row`, both as kernel row slices.
+    ///
+    /// Derivation: given estimates `p`, the unique residual satisfying the
+    /// invariant is `r = e_s − (p − (1−α)·pW)/α`, so a change to row `u`
+    /// shifts `r(t)` by `(1−α)/α · p(u) · ΔW(u,t)` for every affected `t`.
+    /// The caller then resumes pushing ([`Self::push_stage`]) over the
+    /// *patched* kernel.
     pub fn repair_row_change<P: Prob>(
         &mut self,
         cfg: &PprConfig,
@@ -433,36 +438,41 @@ mod tests {
         assert!(ws.residual_mass() == 0.0);
     }
 
+    /// A repaired-and-pushed transaction reaches the edited graph's PPR:
+    /// within 1e-6 of power iteration on the overlay, and within the push
+    /// tolerance of a fresh push over the patched kernel. Covers an edge
+    /// removal and an insertion.
     #[test]
-    fn dynamic_transaction_matches_repair_and_push() {
+    fn dynamic_transaction_matches_the_edited_graph() {
         let g = ring_with_chords(10);
         let c = cfg(1e-9);
         let et = g.registry().find_edge_type("e").unwrap();
-        let base = Arc::new(ForwardPush::compute(&g, &c, NodeId(0)));
         let csr = TransitionCsr::build(&g, c.transition);
-
-        let mut d = GraphDelta::new();
-        d.remove_edge(EdgeKey::new(NodeId(0), NodeId(1), et));
-        let view = d.overlay(&g);
-        let touched = d.touched_sources();
-        let patched = csr.patched(&view, &touched);
+        let base = Arc::new(ForwardPush::compute_kernel(&csr, &c, NodeId(0)));
+        let mut removal = GraphDelta::new();
+        removal.remove_edge(EdgeKey::new(NodeId(0), NodeId(1), et));
+        let mut insertion = GraphDelta::new();
+        insertion.add_edge(EdgeKey::new(NodeId(2), NodeId(7), et), 5.0);
 
         let mut ws = PushWorkspace::new(g.num_nodes());
         ws.load_base(&base);
-        for &u in &touched {
-            ws.repair_row_change(&c, u, csr.forward_row(u), patched.forward_row(u));
-        }
-        ws.push_stage(&patched, &c, c.epsilon);
+        for d in [removal, insertion] {
+            let view = d.overlay(&g);
+            let touched = d.touched_sources();
+            let patched = csr.patched(&view, &touched);
+            for &u in &touched {
+                ws.repair_row_change(&c, u, csr.forward_row(u), patched.forward_row(u));
+            }
+            ws.push_stage(&patched, &c, c.epsilon);
 
-        let mut reference = (*base).clone();
-        reference.repair_and_push(&g, &view, &touched, &c);
-        for t in 0..10 {
-            assert!(
-                (ws.estimates()[t] - reference.estimates[t]).abs() < 1e-7,
-                "t={t}: {} vs {}",
-                ws.estimates()[t],
-                reference.estimates[t]
-            );
+            let exact = ppr_power(&view, &c, NodeId(0));
+            let fresh = ForwardPush::compute_kernel(&patched, &c, NodeId(0));
+            let rows = ws.estimates().iter().zip(&exact).zip(&fresh.estimates);
+            for (t, ((&p, &x), &f)) in rows.enumerate() {
+                assert!((p - x).abs() < 1e-6, "t={t}: {p} vs exact {x}");
+                assert!((p - f).abs() < 1e-7, "t={t}: {p} vs fresh {f}");
+            }
+            ws.rollback();
         }
     }
 
@@ -471,8 +481,8 @@ mod tests {
         let g = ring_with_chords(12);
         let c = cfg(1e-8);
         let et = g.registry().find_edge_type("e").unwrap();
-        let base = Arc::new(ForwardPush::compute(&g, &c, NodeId(3)));
         let csr = TransitionCsr::build(&g, c.transition);
+        let base = Arc::new(ForwardPush::compute_kernel(&csr, &c, NodeId(3)));
         let mut ws = PushWorkspace::new(g.num_nodes());
         ws.load_base(&base);
         let snapshot_est = ws.estimates().to_vec();
@@ -513,7 +523,7 @@ mod tests {
         let coarse_mass = ws.residual_mass();
         ws.push_stage(&csr, &c, 1e-9);
         assert!(ws.residual_mass() <= coarse_mass + 1e-12);
-        let reference = ForwardPush::compute(&g, &c, NodeId(2));
+        let reference = ForwardPush::compute_kernel(&csr, &c, NodeId(2));
         for t in 0..10 {
             assert!((ws.estimates()[t] - reference.estimates[t]).abs() < 1e-7);
         }
@@ -524,8 +534,8 @@ mod tests {
     fn transactions_do_not_reallocate_buffers() {
         let g = ring_with_chords(16);
         let c = cfg(1e-8);
-        let base = Arc::new(ForwardPush::compute(&g, &c, NodeId(0)));
         let csr = TransitionCsr::build(&g, c.transition);
+        let base = Arc::new(ForwardPush::compute_kernel(&csr, &c, NodeId(0)));
         let mut ws = PushWorkspace::new(g.num_nodes());
         ws.load_base(&base);
         let et = g.registry().find_edge_type("e").unwrap();

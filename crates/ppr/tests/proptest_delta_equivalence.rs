@@ -5,7 +5,7 @@
 //! correct materialised rebuild.
 
 use emigre_hin::{EdgeKey, GraphDelta, GraphView, Hin, NodeId};
-use emigre_ppr::{ForwardPush, PprConfig, ReversePush, TransitionModel};
+use emigre_ppr::{ForwardPush, PprConfig, ReversePush, TransitionCsr, TransitionModel};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -112,8 +112,10 @@ proptest! {
         let materialised = d.apply_to(&g).expect("consistent delta applies");
         prop_assert_eq!(overlay.num_nodes(), materialised.num_nodes());
 
-        let fw_overlay = ForwardPush::compute(&overlay, &cfg, seed);
-        let fw_material = ForwardPush::compute(&materialised, &cfg, seed);
+        let k_overlay = TransitionCsr::build(&overlay, model);
+        let k_material = TransitionCsr::build(&materialised, model);
+        let fw_overlay = ForwardPush::compute_kernel(&k_overlay, &cfg, seed);
+        let fw_material = ForwardPush::compute_kernel(&k_material, &cfg, seed);
         for t in 0..desc.n {
             prop_assert!(
                 (fw_overlay.estimates[t] - fw_material.estimates[t]).abs() < 1e-7,
@@ -122,8 +124,8 @@ proptest! {
             );
         }
 
-        let rv_overlay = ReversePush::compute(&overlay, &cfg, seed);
-        let rv_material = ReversePush::compute(&materialised, &cfg, seed);
+        let rv_overlay = ReversePush::compute_kernel(&k_overlay, &cfg, seed);
+        let rv_material = ReversePush::compute_kernel(&k_material, &cfg, seed);
         for s in 0..desc.n {
             prop_assert!(
                 (rv_overlay.estimates[s] - rv_material.estimates[s]).abs() < 1e-7,

@@ -1,12 +1,12 @@
 //! Property-based validation of the flat transition kernel on randomly
 //! generated graphs: [`TransitionCsr`] rows must reproduce `transition_row`
 //! exactly, [`PatchedCsr`] must match a full rebuild on the overlay graph,
-//! and the kernel push loops must agree with the generic [`GraphView`]
-//! push loops they replace.
+//! and the kernel push loops must land within the Eq. (3)/(4) error bound
+//! of exact power iteration.
 
 use emigre_hin::{EdgeKey, GraphDelta, GraphView, Hin, NodeId};
 use emigre_ppr::{
-    transition_row, ForwardPush, PprConfig, ReversePush, TransitionCsr, TransitionKernel,
+    ppr_power, transition_row, CsrRows, ForwardPush, PprConfig, ReversePush, TransitionCsr,
     TransitionModel,
 };
 use proptest::prelude::*;
@@ -171,11 +171,13 @@ proptest! {
         }
     }
 
-    /// The kernel push loops land on the same estimates as the generic
-    /// `GraphView` loops (both are within the ε invariant of the true PPR,
-    /// so they must be within 2ε-scale of each other).
+    /// The kernel push loops are within their error bound of exact PPR:
+    /// Eq. (3) gives `|PPR(s,t) − p(t)| ≤ Σ_x |r(x)|·PPR(x,t) ≤ Σ|r|` for the
+    /// forward push, Eq. (4) gives `|PPR(s,t) − p(s)| ≤ max|r|·Σ_x PPR(s,x)
+    /// ≤ ε` for the reverse push. `1e-9` covers power iteration's own
+    /// tolerance.
     #[test]
-    fn kernel_pushes_match_generic_pushes(
+    fn kernel_pushes_match_power_iteration_within_eq3_eq4_bounds(
         desc in random_graph(12),
         model in models(),
         seed_raw in 0u32..12,
@@ -183,31 +185,36 @@ proptest! {
         let g = build(&desc);
         let seed = NodeId(seed_raw % desc.n as u32);
         let c = cfg(model);
+        let exact_cfg = PprConfig { tolerance: 1e-14, max_iterations: 10_000, ..c };
         let csr = TransitionCsr::build(&g, model);
+        let exact_from: Vec<Vec<f64>> = (0..desc.n as u32)
+            .map(|x| ppr_power(&g, &exact_cfg, NodeId(x)))
+            .collect();
 
-        let fp_generic = ForwardPush::compute(&g, &c, seed);
-        let fp_kernel = ForwardPush::compute_kernel(&csr, &c, seed);
-        for t in 0..desc.n {
+        let fp = ForwardPush::compute_kernel(&csr, &c, seed);
+        let bound = fp.residual_mass() + 1e-9;
+        for (t, (&p, &exact)) in fp.estimates.iter().zip(&exact_from[seed.index()]).enumerate() {
             prop_assert!(
-                (fp_generic.estimates[t] - fp_kernel.estimates[t]).abs() < 1e-5,
-                "forward t={}: generic {} vs kernel {}",
-                t, fp_generic.estimates[t], fp_kernel.estimates[t]
+                (p - exact).abs() <= bound,
+                "forward t={}: kernel {} vs exact {} (bound {:e})",
+                t, p, exact, bound
             );
         }
 
-        let rp_generic = ReversePush::compute(&g, &c, seed);
-        let rp_kernel = ReversePush::compute_kernel(&csr, &c, seed);
-        for s in 0..desc.n {
+        let rp = ReversePush::compute_kernel(&csr, &c, seed);
+        let bound = c.epsilon + 1e-9;
+        for (s, (&p, row)) in rp.estimates.iter().zip(&exact_from).enumerate() {
+            let exact = row[seed.index()];
             prop_assert!(
-                (rp_generic.estimates[s] - rp_kernel.estimates[s]).abs() < 1e-5,
-                "reverse s={}: generic {} vs kernel {}",
-                s, rp_generic.estimates[s], rp_kernel.estimates[s]
+                (p - exact).abs() <= bound,
+                "reverse s={}: kernel {} vs exact {} (bound {:e})",
+                s, p, exact, bound
             );
         }
     }
 
     /// End-to-end counterfactual path: pushing over the patched kernel of a
-    /// random delta agrees with a from-scratch generic push on the overlay.
+    /// random delta agrees with a push over a kernel rebuilt on the overlay.
     #[test]
     fn patched_kernel_push_matches_overlay_push(
         desc in random_graph(10),
@@ -228,7 +235,8 @@ proptest! {
         let csr = TransitionCsr::build(&g, TransitionModel::Weighted);
         let patched = csr.patched(&view, &d.touched_sources());
         let from_patched = ForwardPush::compute_kernel(&patched, &c, seed);
-        let from_scratch = ForwardPush::compute(&view, &c, seed);
+        let rebuilt = TransitionCsr::build(&view, TransitionModel::Weighted);
+        let from_scratch = ForwardPush::compute_kernel(&rebuilt, &c, seed);
         for t in 0..desc.n {
             prop_assert!(
                 (from_patched.estimates[t] - from_scratch.estimates[t]).abs() < 1e-5,

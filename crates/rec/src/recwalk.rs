@@ -95,7 +95,7 @@ pub fn is_user_actionable(etype: EdgeTypeId, model_edge: EdgeTypeId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PprRecommender, RecConfig, Recommender, ScoreEngine};
+    use crate::{PprRecommender, RecConfig, Recommender};
     use emigre_hin::NodeId;
     use emigre_ppr::{PprConfig, TransitionModel};
 
@@ -177,11 +177,7 @@ mod tests {
             epsilon: 1e-9,
             ..PprConfig::default()
         };
-        let rec = PprRecommender::new(
-            RecConfig::new(item_t)
-                .with_ppr(ppr)
-                .with_engine(ScoreEngine::Power),
-        );
+        let rec = PprRecommender::new(RecConfig::new(item_t).with_ppr(ppr));
         let plain = rec.recommend(&g, users[2], 4);
         let blended = rec.recommend(&rw, users[2], 4);
         assert!(!blended.is_empty());

@@ -332,7 +332,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use emigre_hin::NodeId;
-    use emigre_ppr::{TransitionKernel, TransitionModel};
+    use emigre_ppr::{CsrRows, TransitionModel};
 
     fn sample() -> (Arc<Hin>, Arc<TransitionCsr>) {
         let mut g = Hin::new();

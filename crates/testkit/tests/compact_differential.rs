@@ -1,15 +1,15 @@
-//! Differential suite, scale leg: `CompactCsr` ≡ `TransitionCsr`.
+//! Differential suite, scale leg: `CompactCsr` ≡ `transition_row`.
 //!
-//! The compact struct-of-arrays kernel promises to be a pure layout
-//! change: at `P = f64` every transition row — destinations and
-//! probabilities, forward and reverse — is *bit-identical* to the
-//! reference `TransitionCsr`, and every CHECK verdict reached through it
-//! is the same verdict the reference reaches. At `P = f32` rows agree up
-//! to one quantisation step. This suite pins both promises on seeded
-//! pathological worlds (dangling items, near-zero weights, twin-item PPR
-//! ties) and on the streaming power-law generator, whose chunked
-//! edge-stream build must match a kernel built over the fully
-//! materialised `Hin` bit for bit.
+//! The kernel promises to be a pure materialisation of the per-node
+//! transition rows: at `P = f64` every forward row — destinations and
+//! probabilities — is *bit-identical* to `transition_row` on the same
+//! node, the reverse rows are its exact transpose, and a kernel shared
+//! across questions reaches the same CHECK verdicts as each context's own.
+//! At `P = f32` rows agree with the `f64` kernel up to one quantisation
+//! step. This suite pins these promises on seeded pathological worlds
+//! (dangling items, near-zero weights, twin-item PPR ties) and on the
+//! streaming power-law generator, whose chunked edge-stream build must
+//! match the rows of the fully materialised `Hin` bit for bit.
 
 use std::sync::Arc;
 
@@ -17,9 +17,9 @@ use emigre_core::search::remove_search_space;
 use emigre_core::tester::{PreCheck, Tester};
 use emigre_core::{Action, ExplainContext};
 use emigre_data::{ScaleGen, ScaleSpec};
-use emigre_hin::GraphView;
+use emigre_hin::{GraphView, NodeId};
 use emigre_obs::ObsHandle;
-use emigre_ppr::{CompactCsr, CsrRows, TransitionCsr, TransitionModel};
+use emigre_ppr::{transition_row, CompactCsr, CsrRows, TransitionCsr, TransitionModel};
 use emigre_testkit::{viable_questions, WorldParams, WorldSpec};
 
 /// Pathology-heavy sampling envelope: small enough that 40 worlds build
@@ -35,25 +35,41 @@ fn params() -> WorldParams {
     }
 }
 
-/// Asserts both directions of `compact` agree with `reference` bitwise.
-fn assert_rows_bitwise<K: CsrRows<P = f64>>(reference: &TransitionCsr, compact: &K, tag: &str) {
-    assert_eq!(reference.num_nodes(), compact.num_nodes(), "{tag}: node count");
-    assert_eq!(reference.model(), compact.model(), "{tag}: model");
-    for u in 0..reference.num_nodes() {
-        let node = emigre_hin::NodeId(u as u32);
-        for (dir, (rd, rp), (cd, cp)) in [
-            ("fwd", reference.forward_row(node), compact.forward_row(node)),
-            ("rev", reference.reverse_row(node), compact.reverse_row(node)),
-        ] {
-            assert_eq!(rd, cd, "{tag}: {dir} dsts of node {u}");
-            for (i, (a, b)) in rp.iter().zip(cp).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{tag}: {dir} prob {i} of node {u}: {a} vs {b}"
-                );
-            }
+/// Asserts `kernel`'s forward rows are `transition_row` on `g`, bit for
+/// bit, and its reverse rows their exact transpose (sources ascending).
+fn assert_rows_bitwise<G: GraphView, K: CsrRows<P = f64>>(
+    g: &G,
+    model: TransitionModel,
+    kernel: &K,
+    tag: &str,
+) {
+    let n = g.num_nodes();
+    assert_eq!(kernel.num_nodes(), n, "{tag}: node count");
+    assert_eq!(kernel.model(), model, "{tag}: model");
+    let bits = |(ids, probs): (&[u32], &[f64])| -> Vec<(u32, u64)> {
+        ids.iter()
+            .zip(probs)
+            .map(|(&i, p)| (i, p.to_bits()))
+            .collect()
+    };
+    let mut transpose: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
+    for u in 0..n as u32 {
+        let want: Vec<(u32, u64)> = transition_row(g, model, NodeId(u))
+            .iter()
+            .map(|&(v, p)| (v.0, p.to_bits()))
+            .collect();
+        assert_eq!(
+            bits(kernel.forward_row(NodeId(u))),
+            want,
+            "{tag}: fwd row of node {u}"
+        );
+        for &(v, p) in &want {
+            transpose[v as usize].push((u, p));
         }
+    }
+    for (v, want) in transpose.iter().enumerate() {
+        let got = bits(kernel.reverse_row(NodeId(v as u32)));
+        assert_eq!(&got, want, "{tag}: rev row of node {v}");
     }
 }
 
@@ -80,10 +96,8 @@ fn compact_f64_rows_match_reference_bitwise() {
     for (seed, spec) in pathological_worlds() {
         let world = spec.build();
         let model = world.cfg.rec.ppr.transition;
-        let reference = TransitionCsr::build(&world.graph, model);
         let compact = CompactCsr::<f64>::build(&world.graph, model);
-        assert_eq!(reference.num_entries(), compact.num_entries(), "seed {seed}");
-        assert_rows_bitwise(&reference, &compact, &format!("seed {seed}"));
+        assert_rows_bitwise(&world.graph, model, &compact, &format!("seed {seed}"));
     }
 }
 
@@ -122,15 +136,15 @@ fn streaming_build_matches_materialized_kernels_bitwise() {
         let spec = ScaleSpec::with_total_nodes(1_500, seed);
         let gen = ScaleGen::new(spec);
         let model = TransitionModel::RecWalk { beta: 0.5 };
-        // Chunked stream build vs. a reference kernel over the fully
-        // materialised Hin: same edges in the same order, so identical
-        // weight-sum accumulation and bit-identical probabilities.
+        // Chunked stream build vs. the rows of the fully materialised
+        // Hin: same edges in the same order, so identical weight-sum
+        // accumulation and bit-identical probabilities.
         let streamed = gen.build_compact::<f64>(model, 64);
         let hin = gen.materialize_hin();
-        let reference = TransitionCsr::build(&hin, model);
-        assert_rows_bitwise(&reference, &streamed, &format!("scale seed {seed} (stream)"));
+        let tag = format!("scale seed {seed}");
+        assert_rows_bitwise(&hin, model, &streamed, &format!("{tag} (stream)"));
         let view_built = CompactCsr::<f64>::build(&hin, model);
-        assert_rows_bitwise(&reference, &view_built, &format!("scale seed {seed} (view)"));
+        assert_rows_bitwise(&hin, model, &view_built, &format!("{tag} (view)"));
     }
 }
 
@@ -213,12 +227,14 @@ fn tester_verdicts_match_on_compact_kernel_at_threads_1_and_8() {
             }
         }
     }
-    assert!(questions >= 10, "only {questions} viable questions exercised");
+    assert!(
+        questions >= 10,
+        "only {questions} viable questions exercised"
+    );
 }
 
-/// The explain path itself, driven through the default context, stays the
-/// reference `TransitionCsr` — pin that the generic plumbing did not change
-/// its verdicts either (guards the `K = TransitionCsr` default).
+/// The explain path itself, driven through the default context (its own
+/// `TransitionCsr`): repeated CHECKs of one set on one context agree.
 #[test]
 fn default_context_still_uses_reference_kernel() {
     let world = WorldSpec::sample_seeded(3, &params()).build();

@@ -114,16 +114,17 @@ fn combined_mode_dominates_single_modes() {
 fn csr_snapshot_gives_identical_explanations() {
     let (hin, cfg) = small_world();
     let g = &hin.graph;
-    let csr = emigre::hin::CsrGraph::from_view(g);
+    let image = emigre::hin::snapshot_to_bytes(g);
+    let snap = emigre::hin::Snapshot::from_bytes(image).expect("fresh image opens");
     let scenarios = generate_scenarios(g, &cfg, &hin.users, 1);
     let explainer = Explainer::new(cfg.clone());
     for s in scenarios.iter().take(3) {
         let a = explainer.explain(g, s.user, s.wni, Method::AddIncremental);
-        let b = explainer.explain(&csr, s.user, s.wni, Method::AddIncremental);
+        let b = explainer.explain(&snap, s.user, s.wni, Method::AddIncremental);
         match (a, b) {
             (Ok(x), Ok(y)) => assert_eq!(x.actions, y.actions),
             (Err(_), Err(_)) => {}
-            other => panic!("hin/csr disagree: {other:?}"),
+            other => panic!("hin/snapshot disagree: {other:?}"),
         }
     }
 }

@@ -37,7 +37,8 @@ fn dot_export_mentions_the_cast() {
 fn monte_carlo_agrees_with_push_on_the_running_example() {
     let ex = running_example();
     let cfg = ex.config.rec.ppr;
-    let push = emigre::ppr::ForwardPush::compute(&ex.graph, &cfg, ex.paul);
+    let kernel = emigre::ppr::TransitionCsr::build(&ex.graph, cfg.transition);
+    let push = emigre::ppr::ForwardPush::compute_kernel(&kernel, &cfg, ex.paul);
     let mc = emigre::ppr::ppr_monte_carlo(&ex.graph, &cfg, ex.paul, 150_000, 11);
     // The two engines agree on Paul's distribution within sampling error,
     // and on the identity of the top recommendation in particular.
